@@ -27,7 +27,6 @@ class SamplingConfig:
     top_p: float = 0.9
     max_bars: int = 16
     max_tokens: int = 1024
-    seed: int | None = None
 
 
 @dataclass
@@ -35,33 +34,27 @@ class SBBSConfig:
     target: EmotionQuadrant
     beams: int = 5
     top_k: int = 10
-    top_p: float = 0.9
     max_bars: int = 16
     max_tokens: int = 1024
-    seed: int | None = None
 
     def __post_init__(self):
         if self.beams < 1:
             raise ValueError("beams must be >= 1")
         if self.top_k < self.beams:
             raise ValueError("top_k must be >= beams")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError("top_p must be in (0, 1]")
 
 
 def top_p_decode(
     start: Sequence[int],
     policy: Policy,
     cfg: SamplingConfig,
-    rng=None,
+    rng,
     vocab=None,
     method: str = "topp",
 ) -> tuple[list[int], DecodeTrace]:
     """Plain autoregressive nucleus sampling; no evaluator in the loop."""
     if vocab is None:
         vocab = getattr(policy, "vocab")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     seq = list(start)
     bars = sum(1 for t in seq if t == vocab.bar_id)
     trace = DecodeTrace(method=method, start=list(start))
@@ -95,7 +88,7 @@ def cs_decode(
     conditional_policy: Policy,
     target: EmotionQuadrant,
     cfg: SamplingConfig,
-    rng=None,
+    rng,
 ) -> tuple[list[int], DecodeTrace]:
     """Conditional sampling: inject the control token, then sample top-p.
 
@@ -132,8 +125,8 @@ def sbbs_decode(
     policy: Policy,
     classifier: EmotionClassifier,
     cfg: SBBSConfig,
+    rng,
     budget: EvaluatorBudget | None = None,
-    rng=None,
 ) -> tuple[list[int], DecodeTrace]:
     """Stochastic bi-objective beam search toward a target quadrant.
 
@@ -145,8 +138,6 @@ def sbbs_decode(
     value is reused for the steps inside the following bar.
     """
     vocab = policy.vocab
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     if budget is None:
         budget = EvaluatorBudget()
     start_bars = sum(1 for t in start if t == vocab.bar_id)

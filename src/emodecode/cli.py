@@ -40,7 +40,7 @@ from .errors import (
     UntrainedCondition,
 )
 from .manifest import build_manifest, dump_manifest, load_manifest
-from .metrics import compare_table, n_pitch_classes, pitch_range, polyphony
+from .metrics import compare_table, piece_metrics
 from .models.base import EvaluatorBudget
 from .models.heuristic import HeuristicDiscriminator, HeuristicEmotionClassifier
 from .models.ngram import NGramPolicy, train_ngram, with_emotion_prefix
@@ -188,7 +188,6 @@ def _decode_one(method, start, policy, classifier, discriminator, cfg, target, r
                 target=target,
                 beams=cfg["beams"],
                 top_k=cfg["top_k"],
-                top_p=cfg["top_p"],
                 max_bars=cfg["max_bars"],
                 max_tokens=cfg["max_tokens"],
             ),
@@ -203,15 +202,7 @@ def _decode_one(method, start, policy, classifier, discriminator, cfg, target, r
 
 
 def _piece_metrics(seq, target, classifier, discriminator, eval_budget) -> dict:
-    piece = tokens_to_piece(VOCAB.decode(seq))
-    if piece.notes:
-        metrics = {
-            "pitch_range": pitch_range(piece),
-            "n_pitch_classes": n_pitch_classes(piece),
-            "polyphony": polyphony(piece),
-        }
-    else:
-        metrics = {"pitch_range": 0.0, "n_pitch_classes": 0, "polyphony": 0.0}
+    metrics = piece_metrics(tokens_to_piece(VOCAB.decode(seq)))
     try:
         predicted = argmax_quadrant(classifier.distribution(seq, eval_budget))
         metrics["predicted_emotion"] = predicted.name
@@ -308,15 +299,7 @@ def _recomputed_aggregates(manifest: dict) -> dict:
     """Re-derive aggregates from recorded token ids; flag stale manifests."""
     checked = []
     for i, entry in enumerate(manifest["pieces"]):
-        piece = tokens_to_piece(VOCAB.decode(entry["token_ids"]))
-        if piece.notes:
-            recomputed = {
-                "pitch_range": pitch_range(piece),
-                "n_pitch_classes": n_pitch_classes(piece),
-                "polyphony": polyphony(piece),
-            }
-        else:
-            recomputed = {"pitch_range": 0.0, "n_pitch_classes": 0, "polyphony": 0.0}
+        recomputed = piece_metrics(tokens_to_piece(VOCAB.decode(entry["token_ids"])))
         for key, value in recomputed.items():
             if abs(value - float(entry["metrics"][key])) > 1e-9:
                 raise ManifestSchemaError(
@@ -341,25 +324,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         files = sorted(p for p in path.iterdir() if p.suffix.lower() in (".mid", ".midi"))
         if not files:
             raise NoValidFiles(f"no MIDI files in {path}")
-        rows = []
-        for file in files:
-            piece = read_midi(file)
-            if piece.notes:
-                rows.append(
-                    (file.name, pitch_range(piece), n_pitch_classes(piece), polyphony(piece))
-                )
-            else:
-                rows.append((file.name, 0.0, 0, 0.0))
-        report = {
-            "pieces": [
-                {"file": name, "pitch_range": pr, "n_pitch_classes": npc, "polyphony": poly}
-                for name, pr, npc, poly in rows
-            ]
-        }
-        width = max(len(r[0]) for r in rows)
+        rows = [{"file": file.name, **piece_metrics(read_midi(file))} for file in files]
+        report = {"pieces": rows}
+        width = max(len(r["file"]) for r in rows)
         print(f"{'file'.ljust(width)}  {'PR':>6}  {'NPC':>4}  {'POLY':>6}")
-        for name, pr, npc, poly in rows:
-            print(f"{name.ljust(width)}  {pr:6.2f}  {npc:4d}  {poly:6.2f}")
+        for r in rows:
+            print(
+                f"{r['file'].ljust(width)}  {r['pitch_range']:6.2f}"
+                f"  {r['n_pitch_classes']:4d}  {r['polyphony']:6.2f}"
+            )
     else:
         manifest = load_manifest(path)
         aggregates = _recomputed_aggregates(manifest)

@@ -1,13 +1,10 @@
 """Objective metrics over generated pieces and comparison-table assembly."""
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
-from .emotion import ALL_QUADRANTS, EmotionQuadrant, argmax_quadrant
+from .emotion import ALL_QUADRANTS
 from .errors import EmptyPiece, ManifestSchemaError
-from .models.base import Discriminator, EmotionClassifier, EvaluatorBudget
 from .remi.piece import STEP_TICKS, Piece
 
 
@@ -48,44 +45,15 @@ def polyphony(piece: Piece) -> float:
     return float(sounding.mean())
 
 
-def emotion_rate(
-    sequences: Iterable[Sequence[int]],
-    classifier: EmotionClassifier,
-    target: EmotionQuadrant,
-    budget: EvaluatorBudget | None = None,
-) -> float:
-    """Fraction of sequences whose classifier argmax hits the target."""
-    if budget is None:
-        budget = EvaluatorBudget()
-    hits = 0
-    total = 0
-    for seq in sequences:
-        total += 1
-        if argmax_quadrant(classifier.distribution(seq, budget)) is target:
-            hits += 1
-    if total == 0:
-        raise ValueError("no sequences")
-    return hits / total
-
-
-def discriminator_rate(
-    sequences: Iterable[Sequence[int]],
-    discriminator: Discriminator,
-    threshold: float = 0.5,
-    budget: EvaluatorBudget | None = None,
-) -> float:
-    """Fraction of sequences the discriminator scores above threshold."""
-    if budget is None:
-        budget = EvaluatorBudget()
-    hits = 0
-    total = 0
-    for seq in sequences:
-        total += 1
-        if discriminator.realness(seq, budget) > threshold:
-            hits += 1
-    if total == 0:
-        raise ValueError("no sequences")
-    return hits / total
+def piece_metrics(piece: Piece) -> dict[str, float]:
+    """Pitch range, pitch classes and polyphony; zeros for a piece without notes."""
+    if not piece.notes:
+        return {"pitch_range": 0.0, "n_pitch_classes": 0, "polyphony": 0.0}
+    return {
+        "pitch_range": pitch_range(piece),
+        "n_pitch_classes": n_pitch_classes(piece),
+        "polyphony": polyphony(piece),
+    }
 
 
 _METRIC_KEYS = ("pitch_range", "n_pitch_classes", "polyphony", "emotion_rate", "discriminator_rate")
@@ -96,17 +64,6 @@ _METRIC_LABELS = {
     "emotion_rate": "E",
     "discriminator_rate": "D",
 }
-
-
-def summarize_pieces(pieces: Sequence[Piece]) -> dict[str, float]:
-    """Mean PR / NPC / POLY over a batch of pieces."""
-    if not pieces:
-        raise ValueError("no pieces")
-    return {
-        "pitch_range": float(np.mean([pitch_range(p) for p in pieces])),
-        "n_pitch_classes": float(np.mean([n_pitch_classes(p) for p in pieces])),
-        "polyphony": float(np.mean([polyphony(p) for p in pieces])),
-    }
 
 
 def _check_aggregates(manifest: dict, require_all_emotions: bool) -> dict[str, dict[str, float]]:

@@ -1,47 +1,1 @@
 """Policies and sequence evaluators used by the decoders."""
-
-from .base import (
-    BarPrefixMixin,
-    Discriminator,
-    EmotionClassifier,
-    EvaluatorBudget,
-    Policy,
-    classify_emotion,
-    discriminate,
-    policy_next,
-)
-from .fixtures import (
-    TableDiscriminator,
-    TableEmotionClassifier,
-    TablePolicy,
-    UniformPolicy,
-    load_fixture_evaluators,
-)
-from .heuristic import HeuristicDiscriminator, HeuristicEmotionClassifier
-from .ngram import NGramPolicy, perplexity, train_ngram, with_emotion_prefix
-from .sampling import sample_from, sample_index, top_p_filter
-
-__all__ = [
-    "BarPrefixMixin",
-    "Discriminator",
-    "EmotionClassifier",
-    "EvaluatorBudget",
-    "HeuristicDiscriminator",
-    "HeuristicEmotionClassifier",
-    "NGramPolicy",
-    "Policy",
-    "TableDiscriminator",
-    "TableEmotionClassifier",
-    "TablePolicy",
-    "UniformPolicy",
-    "classify_emotion",
-    "discriminate",
-    "load_fixture_evaluators",
-    "perplexity",
-    "policy_next",
-    "sample_from",
-    "sample_index",
-    "top_p_filter",
-    "train_ngram",
-    "with_emotion_prefix",
-]

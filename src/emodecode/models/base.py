@@ -43,26 +43,6 @@ class Policy:
         return self.vocab.successors(prefix[-1])
 
 
-def policy_next(policy: Policy, prefix: Sequence[int]) -> np.ndarray:
-    """Checked form of Policy.next_distribution.
-
-    Validates the prefix against the grammar (GrammarError on failure) and
-    asserts the distribution invariants before returning it.
-    """
-    err = policy.vocab.validate_ids(prefix)
-    if err is not None:
-        raise err
-    dist = policy.next_distribution(prefix)
-    total = float(dist.sum())
-    if abs(total - 1.0) > 1e-9 or np.any(dist < 0.0):
-        raise AssertionError(f"policy distribution must sum to 1, got {total}")
-    illegal = np.ones(len(dist), dtype=bool)
-    illegal[policy.vocab.successors(prefix[-1])] = False
-    if dist[illegal].any():
-        raise AssertionError("policy put mass on grammar-illegal successors")
-    return dist
-
-
 class EmotionClassifier:
     """Maps a sequence with at least one complete bar to 4 quadrant probs."""
 
@@ -105,11 +85,3 @@ class BarPrefixMixin:
         if prefix is None:
             raise SequenceTooShort("no completed bar to evaluate")
         return prefix
-
-
-def classify_emotion(classifier: EmotionClassifier, seq: Sequence[int], budget: EvaluatorBudget) -> np.ndarray:
-    return classifier.distribution(seq, budget)
-
-
-def discriminate(discriminator: Discriminator, seq: Sequence[int], budget: EvaluatorBudget) -> float:
-    return discriminator.realness(seq, budget)

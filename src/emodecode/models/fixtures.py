@@ -1,14 +1,12 @@
 """Deterministic table-driven models for tests and worked examples."""
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..errors import GrammarError
-from ..remi.tokens import Vocabulary, tokens_from_text
+from ..remi.tokens import Vocabulary
 from .base import Discriminator, EmotionClassifier, Policy
 
 
@@ -88,29 +86,3 @@ class TableDiscriminator(Discriminator):
                 raise KeyError(f"no discriminator entry for sequence {seq!r}")
             return self.default
         return hit
-
-
-def load_fixture_evaluators(path: str | Path, vocab: Vocabulary):
-    """Read table evaluators from a JSON file keyed by serialized prefixes.
-
-    Keys are space-joined ``KIND:VALUE`` token strings; values are 4-way
-    distributions under "classifier" and floats under "discriminator".
-    """
-    spec = json.loads(Path(path).read_text())
-
-    def decode_key(key: str) -> tuple[int, ...]:
-        return tuple(vocab.encode(tokens_from_text(key.replace(" ", "\n"))))
-
-    classifier = None
-    if "classifier" in spec:
-        classifier = TableEmotionClassifier(
-            {decode_key(k): v for k, v in spec["classifier"].items()},
-            default=spec.get("classifier_default"),
-        )
-    discriminator = None
-    if "discriminator" in spec:
-        discriminator = TableDiscriminator(
-            {decode_key(k): v for k, v in spec["discriminator"].items()},
-            default=spec.get("discriminator_default"),
-        )
-    return classifier, discriminator

@@ -6,8 +6,6 @@ decision by decision.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -35,7 +33,3 @@ def sample_index(rng, probs: np.ndarray) -> int:
         raise ValueError("cannot sample from all-zero weights")
     u = rng.random() * total
     return min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
-
-
-def sample_from(rng, ids: Sequence[int], probs: np.ndarray) -> int:
-    return int(ids[sample_index(rng, probs)])

@@ -38,7 +38,6 @@ class DecodeConfig:
     rollout_cap: int = 64       # hard stop for a single rollout
     max_bars: int = 16
     max_tokens: int = 1024
-    seed: int | None = None
 
     def __post_init__(self):
         if self.budget < 1:
@@ -171,7 +170,7 @@ def backpropagate(path: Sequence[tuple[SearchNode, Edge]], reward: float) -> Non
     for node, edge in reversed(path):
         edge.q = (edge.q * edge.visits + reward) / (edge.visits + 1)
         edge.visits += 1
-        node.node_visits = 1 + sum(e.visits for e in node.edges)
+        node.node_visits += 1
 
 
 def search_step(
@@ -241,7 +240,7 @@ def decode_piece(
     classifier: EmotionClassifier,
     discriminator: Discriminator,
     cfg: DecodeConfig,
-    rng=None,
+    rng,
     vocab=None,
 ) -> tuple[list[int], DecodeTrace]:
     """Generate a full piece, one searched token at a time.
@@ -254,8 +253,6 @@ def decode_piece(
     """
     if vocab is None:
         vocab = getattr(policy, "vocab")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     budget = EvaluatorBudget()
     seq = list(start)
     bars = sum(1 for t in seq if t == vocab.bar_id)

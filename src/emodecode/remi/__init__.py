@@ -1,52 +1,1 @@
 """REMI-style event codec: vocabulary, grammar, piece model, MIDI I/O."""
-
-from .tokens import (
-    POSITIONS_PER_BAR,
-    Token,
-    TokenKind,
-    VOCAB,
-    Vocabulary,
-    complete_bar_prefix,
-    grammar_mask,
-    tokens_from_text,
-    tokens_to_text,
-    validate_prefix,
-    validate_sequence,
-)
-from .piece import (
-    BAR_TICKS,
-    DEFAULT_BPM,
-    STEP_TICKS,
-    TICKS_PER_BEAT,
-    NoteEvent,
-    Piece,
-    piece_to_tokens,
-    quantize_note,
-    tokens_to_piece,
-)
-from .midi import read_midi, write_midi
-
-__all__ = [
-    "BAR_TICKS",
-    "DEFAULT_BPM",
-    "NoteEvent",
-    "POSITIONS_PER_BAR",
-    "Piece",
-    "STEP_TICKS",
-    "TICKS_PER_BEAT",
-    "Token",
-    "TokenKind",
-    "VOCAB",
-    "Vocabulary",
-    "complete_bar_prefix",
-    "grammar_mask",
-    "piece_to_tokens",
-    "quantize_note",
-    "read_midi",
-    "tokens_from_text",
-    "tokens_to_piece",
-    "tokens_to_text",
-    "validate_prefix",
-    "validate_sequence",
-    "write_midi",
-]

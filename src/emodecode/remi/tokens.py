@@ -164,12 +164,6 @@ def validate_sequence(seq: Sequence[Token]) -> GrammarError | None:
     return None if idx is None else GrammarError(idx)
 
 
-def validate_prefix(seq: Sequence[Token]) -> GrammarError | None:
-    """Like validate_sequence but a trailing open note group is allowed."""
-    idx = _first_violation([t.kind for t in seq], require_complete=False)
-    return None if idx is None else GrammarError(idx)
-
-
 def tokens_to_text(seq: Iterable[Token]) -> str:
     return "\n".join(t.to_text() for t in seq) + "\n"
 

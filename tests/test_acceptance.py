@@ -196,7 +196,7 @@ def steering_benchmark(steering_models):
     puct_cfg = {q: DecodeConfig(target=q, **BENCH) for q in ALL_QUADRANTS}
     sbbs_cfg = {
         q: SBBSConfig(
-            target=q, beams=5, top_k=10, top_p=BENCH["top_p"],
+            target=q, beams=5, top_k=10,
             max_bars=BENCH["max_bars"], max_tokens=BENCH["max_tokens"],
         )
         for q in ALL_QUADRANTS

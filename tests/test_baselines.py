@@ -44,9 +44,9 @@ class TestTopP:
 
     def test_deterministic_under_fixed_seed(self, steering_models):
         policy, _, _ = steering_models
-        cfg = SamplingConfig(top_p=0.9, max_bars=2, max_tokens=400, seed=11)
-        a = top_p_decode([VOCAB.start_id], policy, cfg)
-        b = top_p_decode([VOCAB.start_id], policy, cfg)
+        cfg = SamplingConfig(top_p=0.9, max_bars=2, max_tokens=400)
+        a = top_p_decode([VOCAB.start_id], policy, cfg, rng=np.random.default_rng(11))
+        b = top_p_decode([VOCAB.start_id], policy, cfg, rng=np.random.default_rng(11))
         assert a[0] == b[0]
         assert a[1].to_dict() == b[1].to_dict()
 
@@ -109,23 +109,31 @@ class TestConditionalSampling:
             ],
         )
         cfg = SamplingConfig(max_bars=2, max_tokens=40)
-        seq, _ = cs_decode([VOCAB.start_id], partial, EmotionQuadrant.E2, cfg)
+        seq, _ = cs_decode(
+            [VOCAB.start_id], partial, EmotionQuadrant.E2, cfg, rng=np.random.default_rng(0)
+        )
         assert seq[1] == VOCAB.emotion_id(EmotionQuadrant.E2)
         with pytest.raises(UntrainedCondition):
-            cs_decode([VOCAB.start_id], partial, EmotionQuadrant.E3, cfg)
+            cs_decode(
+                [VOCAB.start_id], partial, EmotionQuadrant.E3, cfg, rng=np.random.default_rng(0)
+            )
 
     def test_policy_without_control_training_raises(self, steering_models):
         policy, _, _ = steering_models
         with pytest.raises(UntrainedCondition):
             cs_decode(
                 [VOCAB.start_id], policy, EmotionQuadrant.E1,
-                SamplingConfig(max_bars=2, max_tokens=40),
+                SamplingConfig(max_bars=2, max_tokens=40), rng=np.random.default_rng(0),
             )
 
     def test_deterministic_under_fixed_seed(self, cs_conditional):
-        cfg = SamplingConfig(top_p=0.9, max_bars=2, max_tokens=40, seed=5)
-        a = cs_decode([VOCAB.start_id], cs_conditional, EmotionQuadrant.E4, cfg)
-        b = cs_decode([VOCAB.start_id], cs_conditional, EmotionQuadrant.E4, cfg)
+        cfg = SamplingConfig(top_p=0.9, max_bars=2, max_tokens=40)
+        a = cs_decode(
+            [VOCAB.start_id], cs_conditional, EmotionQuadrant.E4, cfg, rng=np.random.default_rng(5)
+        )
+        b = cs_decode(
+            [VOCAB.start_id], cs_conditional, EmotionQuadrant.E4, cfg, rng=np.random.default_rng(5)
+        )
         assert a[0] == b[0] and a[1].to_dict() == b[1].to_dict()
 
 
@@ -295,10 +303,10 @@ class TestSBBS:
     def test_deterministic_under_fixed_seed(self, steering_models):
         policy, classifier, _ = steering_models
         cfg = SBBSConfig(
-            target=EmotionQuadrant.E1, beams=2, top_k=4, max_bars=2, max_tokens=200, seed=6
+            target=EmotionQuadrant.E1, beams=2, top_k=4, max_bars=2, max_tokens=200
         )
-        a = sbbs_decode([VOCAB.start_id], policy, classifier, cfg)
-        b = sbbs_decode([VOCAB.start_id], policy, classifier, cfg)
+        a = sbbs_decode([VOCAB.start_id], policy, classifier, cfg, rng=np.random.default_rng(6))
+        b = sbbs_decode([VOCAB.start_id], policy, classifier, cfg, rng=np.random.default_rng(6))
         assert a[0] == b[0] and a[1].to_dict() == b[1].to_dict()
 
 
@@ -310,8 +318,3 @@ class TestSBBSConfigValidation:
     def test_top_k_at_least_beams(self):
         with pytest.raises(ValueError):
             SBBSConfig(target=EmotionQuadrant.E1, beams=4, top_k=3)
-
-    @pytest.mark.parametrize("top_p", [0.0, 1.5])
-    def test_top_p_range(self, top_p):
-        with pytest.raises(ValueError):
-            SBBSConfig(target=EmotionQuadrant.E1, top_p=top_p)

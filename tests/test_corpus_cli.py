@@ -4,6 +4,7 @@ CLI tests run in-process through cli.main and assert on exit codes and on
 the files each command writes.  Generation configs are kept tiny (2 bars,
 budget 4) so the whole file stays fast.
 """
+import hashlib
 import json
 import shutil
 import warnings
@@ -145,6 +146,25 @@ def generate(models: Path, out: Path, *extra: str) -> int:
     return cli.main(args)
 
 
+# SHA-256 of each method's token ids, aggregates and budget in
+# test_outputs_per_method: a change that keeps decoding behaviour keeps them
+OUTPUT_DIGESTS = {
+    "puct": "4a30afd5d3fe8f478bfb874eee0e5ccee68c70e8f81fa09c24dbf6ecc365d0a8",
+    "sbbs": "2a9c057f7143721b1a20a7f5f4e15e6db8eade2b95b51e22d1a19a7d533df169",
+    "cs": "ec0a2fa8dec3a961bfb0c76f837b1c37de4a23497994a8396e6339941a6ab31d",
+    "topp": "e74aa179f0b44fb60bca9fc822e32892ecea286bdd96fb3d86967f907346c80f",
+}
+
+
+def output_digest(manifest: dict) -> str:
+    body = {
+        "token_ids": [entry["token_ids"] for entry in manifest["pieces"]],
+        "aggregates": manifest["aggregates"],
+        "budget": manifest["budget"],
+    }
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 class TestTrainCommand:
     def test_writes_model_files(self, workspace):
         _, _, models = workspace
@@ -188,6 +208,7 @@ class TestGenerateCommand:
             assert not (out / f"{quadrant}_000.trace.json").exists()
         for entry in manifest["pieces"]:
             assert VOCAB.validate_ids(entry["token_ids"], require_complete=True) is None
+        assert output_digest(manifest) == OUTPUT_DIGESTS[method]
 
     def test_runs_byte_identical(self, workspace, tmp_path):
         _, _, models = workspace

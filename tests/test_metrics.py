@@ -1,21 +1,21 @@
-"""Pitch range, pitch classes, polyphony, rates, and the comparison table."""
+"""Pitch range, pitch classes, polyphony, per-piece flags, and the comparison table."""
 import numpy as np
 import pytest
 
+from emodecode.cli import _piece_metrics
 from emodecode.emotion import EmotionQuadrant
 from emodecode.errors import EmptyPiece, ManifestSchemaError
 from emodecode.metrics import (
     compare_table,
-    discriminator_rate,
-    emotion_rate,
     n_pitch_classes,
+    piece_metrics,
     pitch_range,
     polyphony,
-    summarize_pieces,
 )
-from emodecode.models.base import EvaluatorBudget
+from emodecode.models.base import BarPrefixMixin, EvaluatorBudget
 from emodecode.models.fixtures import TableDiscriminator, TableEmotionClassifier
 from emodecode.remi.piece import NoteEvent, Piece
+from emodecode.remi.tokens import VOCAB, Token
 
 from reference import brute_force_polyphony
 
@@ -102,50 +102,58 @@ class TestPolyphony:
             assert polyphony(piece) == oracle
 
 
-class TestRates:
-    def test_emotion_rate_three_quarters(self):
-        seqs = [[0, 1, i] for i in range(4)]
-        table = {
-            tuple(seqs[0]): (0.9, 0.1, 0.0, 0.0),
-            tuple(seqs[1]): (0.6, 0.2, 0.1, 0.1),
-            tuple(seqs[2]): (0.5, 0.2, 0.2, 0.1),
-            tuple(seqs[3]): (0.1, 0.8, 0.05, 0.05),
-        }
-        clf = TableEmotionClassifier(table)
+ONE_NOTE = "START:0 BAR:0 POSITION:1 PITCH:60 DURATION:4 VELOCITY:16 END:0"
+
+
+def ids(text: str) -> list[int]:
+    return VOCAB.encode([Token.from_text(part) for part in text.split()])
+
+
+class WholeBarClassifier(BarPrefixMixin, TableEmotionClassifier):
+    vocab = VOCAB
+
+
+class WholeBarDiscriminator(BarPrefixMixin, TableDiscriminator):
+    vocab = VOCAB
+
+
+class TestPieceMetrics:
+    """Per-piece values and flags; the manifest's rates are means of the flags."""
+
+    def test_note_less_piece_scores_zeros(self):
+        out = piece_metrics(Piece(notes=(), bars=1))
+        assert out == {"pitch_range": 0.0, "n_pitch_classes": 0, "polyphony": 0.0}
+        assert isinstance(out["n_pitch_classes"], int)
+
+    def test_realness_flag_needs_more_than_one_half(self):
+        seq = ids(ONE_NOTE)
+        clf = TableEmotionClassifier({}, default=(0.25, 0.25, 0.25, 0.25))
         budget = EvaluatorBudget()
-        assert emotion_rate(seqs, clf, EmotionQuadrant.E1, budget) == 0.75
-        assert budget.e_calls == 4
+        for realness, flag in ((0.5, 0), (0.9, 1)):
+            disc = TableDiscriminator({tuple(seq): realness})
+            row = _piece_metrics(seq, EmotionQuadrant.E1, clf, disc, budget)
+            assert (row["realness"], row["real_ok"]) == (realness, flag)
+        assert budget.snapshot() == (2, 2)
 
-    def test_discriminator_rate_uses_strict_threshold(self):
-        seqs = [[0, i] for i in range(3)]
-        disc = TableDiscriminator(
-            {tuple(seqs[0]): 0.9, tuple(seqs[1]): 0.5, tuple(seqs[2]): 0.2}
-        )
+    def test_argmax_hit_sets_the_emotion_flag(self):
+        seq = ids(ONE_NOTE)
+        clf = TableEmotionClassifier({tuple(seq): (0.1, 0.7, 0.1, 0.1)})
+        disc = TableDiscriminator({}, default=0.5)
+        hit = _piece_metrics(seq, EmotionQuadrant.E2, clf, disc, EvaluatorBudget())
+        miss = _piece_metrics(seq, EmotionQuadrant.E1, clf, disc, EvaluatorBudget())
+        assert (hit["predicted_emotion"], hit["emotion_ok"]) == ("E2", 1)
+        assert (miss["predicted_emotion"], miss["emotion_ok"]) == ("E2", 0)
+        assert (hit["pitch_range"], hit["n_pitch_classes"], hit["polyphony"]) == (0.0, 1, 1.0)
+
+    def test_sequence_too_short_gives_none_and_zero_flags(self):
+        seq = ids("START:0 BAR:0 POSITION:1 PITCH:60 DURATION:4 VELOCITY:16")
+        clf = WholeBarClassifier({}, default=(0.7, 0.1, 0.1, 0.1))
+        disc = WholeBarDiscriminator({}, default=0.9)
         budget = EvaluatorBudget()
-        assert discriminator_rate(seqs, disc, budget=budget) == pytest.approx(1 / 3)
-        assert budget.d_calls == 3
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            emotion_rate([], TableEmotionClassifier({}), EmotionQuadrant.E1)
-        with pytest.raises(ValueError):
-            discriminator_rate([], TableDiscriminator({}))
-
-
-class TestSummaries:
-    def test_summarize_means(self):
-        pieces = [
-            piece_of((0, 60, 480, 64), (480, 65, 480, 64)),
-            piece_of((0, 60, 480, 64), (0, 67, 480, 64)),
-        ]
-        out = summarize_pieces(pieces)
-        assert out["pitch_range"] == pytest.approx((5 + 7) / 2)
-        assert out["n_pitch_classes"] == 2.0
-        assert out["polyphony"] == pytest.approx((1.0 + 2.0) / 2)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_pieces([])
+        row = _piece_metrics(seq, EmotionQuadrant.E1, clf, disc, budget)
+        assert (row["predicted_emotion"], row["emotion_ok"]) == (None, 0)
+        assert (row["realness"], row["real_ok"]) == (None, 0)
+        assert budget.snapshot() == (0, 0)
 
 
 def manifest_with(aggregates: dict) -> dict:

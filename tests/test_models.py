@@ -3,20 +3,14 @@ import numpy as np
 import pytest
 
 from emodecode.errors import GrammarError, SequenceTooShort
-from emodecode.models.base import (
-    EvaluatorBudget,
-    classify_emotion,
-    discriminate,
-    policy_next,
-)
+from emodecode.models.base import EvaluatorBudget
 from emodecode.models.fixtures import (
     TableDiscriminator,
     TableEmotionClassifier,
     TablePolicy,
     UniformPolicy,
-    load_fixture_evaluators,
 )
-from emodecode.models.sampling import sample_from, sample_index, top_p_filter
+from emodecode.models.sampling import sample_index, top_p_filter
 from emodecode.remi.tokens import VOCAB, Token
 
 from reference import ScriptedRNG, naive_top_p
@@ -84,14 +78,11 @@ class TestSampleIndex:
         hits = sum(sample_index(rng, weights) for _ in range(10_000))
         assert abs(hits / 10_000 - 0.7) < 0.02
 
-    def test_sample_from_returns_the_id(self):
-        assert sample_from(ScriptedRNG([0.0]), [42, 99], np.array([1.0, 1.0])) == 42
-
 
 class TestPolicyNext:
     def test_uniform_policy_after_pitch(self):
         policy = UniformPolicy(VOCAB)
-        dist = policy_next(policy, ids("START:0 BAR:0 POSITION:1 PITCH:60"))
+        dist = policy.next_distribution(ids("START:0 BAR:0 POSITION:1 PITCH:60"))
         durations = VOCAB.successors(VOCAB.id_of(Token.pitch(60)))
         assert np.allclose(dist[durations], 1.0 / 32)
         assert dist.sum() == pytest.approx(1.0)
@@ -100,26 +91,8 @@ class TestPolicyNext:
         assert not dist[mask].any()
 
     def test_invalid_prefix_raises_grammar_error(self):
-        with pytest.raises(GrammarError):
-            policy_next(UniformPolicy(VOCAB), ids("START:0 PITCH:60"))
-
-    def test_unnormalized_distribution_caught(self):
-        class Broken(UniformPolicy):
-            def next_distribution(self, prefix):
-                return super().next_distribution(prefix) * 2.0
-
-        with pytest.raises(AssertionError):
-            policy_next(Broken(VOCAB), ids("START:0 BAR:0"))
-
-    def test_illegal_mass_caught(self):
-        class Leaky(UniformPolicy):
-            def next_distribution(self, prefix):
-                dist = super().next_distribution(prefix) * 0.9
-                dist[VOCAB.start_id] += 0.1  # START never follows anything
-                return dist
-
-        with pytest.raises(AssertionError):
-            policy_next(Leaky(VOCAB), ids("START:0 BAR:0"))
+        err = VOCAB.validate_ids(ids("START:0 PITCH:60"))
+        assert isinstance(err, GrammarError) and err.index == 1
 
 
 class TestTablePolicy:
@@ -127,7 +100,7 @@ class TestTablePolicy:
         prefix = ids("START:0 BAR:0 POSITION:1 PITCH:60 DURATION:4 VELOCITY:16")
         row = {VOCAB.bar_id: 0.7, VOCAB.end_id: 0.3}
         policy = TablePolicy(VOCAB, {tuple(prefix): row})
-        dist = policy_next(policy, prefix)
+        dist = policy.next_distribution(prefix)
         assert dist[VOCAB.bar_id] == pytest.approx(0.7)
         assert dist[VOCAB.end_id] == pytest.approx(0.3)
         assert np.count_nonzero(dist) == 2
@@ -160,7 +133,7 @@ class TestEvaluators:
         seq = ids(COMPLETE)
         clf = TableEmotionClassifier({tuple(seq): (0.7, 0.1, 0.1, 0.1)})
         budget = EvaluatorBudget()
-        out = classify_emotion(clf, seq, budget)
+        out = clf.distribution(seq, budget)
         assert np.array_equal(out, [0.7, 0.1, 0.1, 0.1])
         assert budget.snapshot() == (1, 0)
 
@@ -168,27 +141,27 @@ class TestEvaluators:
         seq = ids(COMPLETE)
         disc = TableDiscriminator({tuple(seq): 0.8})
         budget = EvaluatorBudget()
-        assert discriminate(disc, seq, budget) == 0.8
+        assert disc.realness(seq, budget) == 0.8
         assert budget.snapshot() == (0, 1)
 
     def test_invalid_distribution_rejected(self):
         seq = ids(COMPLETE)
         clf = TableEmotionClassifier({tuple(seq): (0.7, 0.1, 0.1, 0.2)})
         with pytest.raises(ValueError):
-            classify_emotion(clf, seq, EvaluatorBudget())
+            clf.distribution(seq, EvaluatorBudget())
 
     def test_realness_outside_unit_interval_rejected(self):
         seq = ids(COMPLETE)
         disc = TableDiscriminator({}, default=1.5)
         with pytest.raises(AssertionError):
-            discriminate(disc, seq, EvaluatorBudget())
+            disc.realness(seq, EvaluatorBudget())
 
     def test_failed_call_does_not_consume_budget(self):
         seq = ids(COMPLETE)
         clf = TableEmotionClassifier({})
         budget = EvaluatorBudget()
         with pytest.raises(KeyError):
-            classify_emotion(clf, seq, budget)
+            clf.distribution(seq, budget)
         assert budget.snapshot() == (0, 0)
 
     def test_defaults_cover_unknown_sequences(self):
@@ -196,27 +169,6 @@ class TestEvaluators:
         clf = TableEmotionClassifier({}, default=(0.25, 0.25, 0.25, 0.25))
         disc = TableDiscriminator({}, default=0.5)
         budget = EvaluatorBudget()
-        assert classify_emotion(clf, seq, budget)[0] == 0.25
-        assert discriminate(disc, seq, budget) == 0.5
+        assert clf.distribution(seq, budget)[0] == 0.25
+        assert disc.realness(seq, budget) == 0.5
 
-
-class TestFixtureFile:
-    def test_load_fixture_evaluators(self, tmp_path):
-        spec = {
-            "classifier": {COMPLETE: [0.7, 0.1, 0.1, 0.1]},
-            "classifier_default": [0.25, 0.25, 0.25, 0.25],
-            "discriminator": {COMPLETE: 0.8},
-            "discriminator_default": 0.5,
-        }
-        path = tmp_path / "fixture.json"
-        import json
-
-        path.write_text(json.dumps(spec))
-        clf, disc = load_fixture_evaluators(path, VOCAB)
-        budget = EvaluatorBudget()
-        seq = ids(COMPLETE)
-        assert classify_emotion(clf, seq, budget)[0] == 0.7
-        assert discriminate(disc, seq, budget) == 0.8
-        other = ids("START:0 BAR:0 POSITION:2 PITCH:62 DURATION:4 VELOCITY:16 END:0")
-        assert classify_emotion(clf, other, budget)[1] == 0.25
-        assert discriminate(disc, other, budget) == 0.5

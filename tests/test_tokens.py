@@ -12,7 +12,6 @@ from emodecode.remi.tokens import (
     grammar_mask,
     tokens_from_text,
     tokens_to_text,
-    validate_prefix,
     validate_sequence,
 )
 
@@ -141,7 +140,7 @@ class TestValidation:
         seq = T("START:0 BAR:0 POSITION:1 PITCH:60 DURATION:4")
         err = validate_sequence(seq)
         assert err is not None and err.index == len(seq)
-        assert validate_prefix(seq) is None
+        assert VOCAB.validate_ids(VOCAB.encode(seq)) is None
 
     def test_validate_ids_matches_token_form(self):
         good = T("START:0 BAR:0 POSITION:1 PITCH:60 DURATION:4 VELOCITY:16 END:0")
@@ -162,7 +161,7 @@ class TestValidation:
                 if not options:
                     break
                 seq.append(options[rng.integers(len(options))])
-            assert validate_prefix(seq) is None
+            assert VOCAB.validate_ids(VOCAB.encode(seq)) is None
             if seq[-1].kind is TokenKind.END:
                 assert validate_sequence(seq) is None
 
