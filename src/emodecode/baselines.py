@@ -16,7 +16,7 @@ import numpy as np
 from .emotion import EmotionQuadrant
 from .errors import UntrainedCondition
 from .models.base import EmotionClassifier, EvaluatorBudget, Policy
-from .models.sampling import sample_index, top_p_filter
+from .models.sampling import sample_cumulative, sample_index
 from .puct import DecodeTrace, _finalize
 
 _LOG_FLOOR = 1e-12
@@ -59,16 +59,14 @@ def top_p_decode(
     bars = sum(1 for t in seq if t == vocab.bar_id)
     trace = DecodeTrace(method=method, start=list(start))
     while len(seq) < cfg.max_tokens:
-        dist = policy.next_distribution(seq)
-        ids = top_p_filter(dist, cfg.top_p)
-        probs = dist[ids]
-        token = int(ids[sample_index(rng, probs)])
+        ids, probs, cum = policy.nucleus(seq, cfg.top_p)
+        token = ids[sample_cumulative(rng, cum)]
         seq.append(token)
         trace.records.append(
             {
                 "step": len(trace.records),
-                "candidate_ids": [int(i) for i in ids],
-                "probs": [float(p) for p in probs / probs.sum()],
+                "candidate_ids": ids,
+                "probs": probs,
                 "chosen_id": token,
                 "e_calls": 0,
                 "d_calls": 0,

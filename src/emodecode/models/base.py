@@ -15,6 +15,7 @@ import numpy as np
 from ..emotion import check_distribution
 from ..errors import GrammarError, SequenceTooShort
 from ..remi.tokens import Vocabulary, complete_bar_prefix
+from .sampling import top_p_filter
 
 
 @dataclass
@@ -36,6 +37,20 @@ class Policy:
     def next_distribution(self, prefix: Sequence[int]) -> np.ndarray:
         """Distribution over the full vocabulary given ``prefix``."""
         raise NotImplementedError
+
+    def nucleus(self, prefix: Sequence[int], p: float) -> tuple[list[int], list[float], np.ndarray]:
+        """Top-``p`` candidates after ``prefix``: ``(ids, priors, cum)``.
+
+        ``ids`` are the ascending ``top_p_filter`` ids, ``priors`` their
+        renormalized probabilities and ``cum`` the cumulative sum of their
+        unnormalized mass, ready for ``sample_cumulative``.  A caching
+        policy hands the same objects to every caller, so callers must
+        treat all three as read-only.
+        """
+        dist = self.next_distribution(prefix)
+        ids = top_p_filter(dist, p)
+        mass = dist[ids]
+        return ids.tolist(), (mass / mass.sum()).tolist(), np.cumsum(mass)
 
     def _legal(self, prefix: Sequence[int]) -> np.ndarray:
         if not prefix:

@@ -34,6 +34,16 @@ _MINOR_PROFILE = np.array(
 _AROUSAL_WEIGHTS = (0.5, 0.3, 0.2)  # tempo, density, mean velocity
 
 
+def _rotations(profile: np.ndarray) -> tuple[list[np.ndarray], float]:
+    """The 12 rotations of the centred profile, and its norm."""
+    p = profile - profile.mean()
+    return [np.roll(p, shift) for shift in range(12)], math.sqrt(float(p @ p))
+
+
+_MAJOR_ROTATIONS = _rotations(_MAJOR_PROFILE)
+_MINOR_ROTATIONS = _rotations(_MINOR_PROFILE)
+
+
 def _sequence_stats(seq: Sequence[int], vocab: Vocabulary):
     """One pass over ids: (tempo, density, velocity, pc histogram, durations)."""
     arr = np.asarray(seq, dtype=np.int64)
@@ -58,17 +68,20 @@ def _sequence_stats(seq: Sequence[int], vocab: Vocabulary):
     return tempo, density, velocity, pc_hist, dur_hist
 
 
-def _profile_correlation(hist: np.ndarray, profile: np.ndarray) -> float:
-    """Best Pearson correlation over the 12 rotations of the profile."""
+def _profile_correlation(hist: np.ndarray, rotations: tuple[list[np.ndarray], float]) -> float:
+    """Best Pearson correlation over a profile's 12 ``_rotations``.
+
+    One dot product per rotation, as ``h @ np.roll(p, shift)`` gives it: a
+    single matrix-vector product rounds differently and changes decoded ids.
+    """
     if hist.sum() <= 0.0 or np.ptp(hist) == 0.0:
         return 0.0
     h = hist - hist.mean()
     h_norm = math.sqrt(float(h @ h))
-    p = profile - profile.mean()
-    p_norm = math.sqrt(float(p @ p))
+    rows, p_norm = rotations
     best = -1.0
-    for shift in range(12):
-        r = float(h @ np.roll(p, shift)) / (h_norm * p_norm)
+    for row in rows:
+        r = float(h @ row) / (h_norm * p_norm)
         best = max(best, r)
     return best
 
@@ -106,8 +119,8 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
         feats = np.array([tempo, density, velocity], dtype=np.float64)
         z = np.where(self.stds_ > 1e-9, (feats - self.means_) / np.where(self.stds_ > 1e-9, self.stds_, 1.0), 0.0)
         arousal = float(np.dot(_AROUSAL_WEIGHTS, z))
-        valence = _profile_correlation(pc_hist, _MAJOR_PROFILE) - _profile_correlation(
-            pc_hist, _MINOR_PROFILE
+        valence = _profile_correlation(pc_hist, _MAJOR_ROTATIONS) - _profile_correlation(
+            pc_hist, _MINOR_ROTATIONS
         )
         return valence, arousal
 

@@ -22,7 +22,8 @@ class NGramPolicy(Policy):
     The longest context seen in training wins; an unseen context backs off
     one order at a time down to a uniform distribution over the legal set.
     Smoothing adds ``add_k`` to every legal successor of a seen context
-    before renormalizing.
+    before renormalizing.  Nuclei are cached per context; full distributions
+    are not, since search and sampling read them only through the nucleus.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3, add_k: float = 0.01):
@@ -34,7 +35,7 @@ class NGramPolicy(Policy):
         self.order = order
         self.add_k = add_k
         self.counts_: dict[int, dict[tuple[int, ...], dict[int, int]]] | None = None
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._nuclei: dict[tuple[tuple[int, ...], float], tuple] = {}
 
     def get_params(self) -> dict:
         return {"order": self.order, "add_k": self.add_k}
@@ -57,7 +58,7 @@ class NGramPolicy(Policy):
         if n_seqs == 0:
             raise EmptyCorpus("cannot train on zero sequences")
         self.counts_ = counts
-        self._cache = {}
+        self._nuclei = {}
         return self
 
     def _require_fitted(self) -> dict:
@@ -70,13 +71,22 @@ class NGramPolicy(Policy):
         counts = self._require_fitted()
         return counts[1].get((), {}).get(int(token_id), 0) > 0
 
+    def _context(self, prefix: Sequence[int]) -> tuple[int, ...]:
+        """The prefix's last ``order - 1`` ids: all the distribution depends on."""
+        return tuple(prefix[-(self.order - 1) :])  # numpy ints hash and compare as ints
+
+    def nucleus(self, prefix: Sequence[int], p: float) -> tuple[list[int], list[float], np.ndarray]:
+        """Cached per context and ``p``; the returned objects are shared."""
+        key = (self._context(prefix), p)
+        hit = self._nuclei.get(key)
+        if hit is None:
+            hit = self._nuclei[key] = super().nucleus(prefix, p)
+        return hit
+
     def next_distribution(self, prefix: Sequence[int]) -> np.ndarray:
         counts = self._require_fitted()
         legal = self._legal(prefix)
-        key = tuple(int(t) for t in prefix[-(self.order - 1) :]) if self.order > 1 else ()
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        key = self._context(prefix)
         weights = None
         for o in range(self.order, 0, -1):
             if len(prefix) < o - 1:
@@ -91,7 +101,6 @@ class NGramPolicy(Policy):
             weights = np.ones(legal.size, dtype=np.float64)
         dist = np.zeros(self.vocab.vocab_size, dtype=np.float64)
         dist[legal] = weights / weights.sum()
-        self._cache[key] = dist
         return dist
 
     def save(self, path: str | Path) -> None:

@@ -27,9 +27,13 @@ def top_p_filter(dist: np.ndarray, p: float) -> np.ndarray:
 
 def sample_index(rng, probs: np.ndarray) -> int:
     """Draw one index proportional to ``probs`` using a single uniform."""
-    cum = np.cumsum(probs)
+    return sample_cumulative(rng, np.cumsum(probs))
+
+
+def sample_cumulative(rng, cum: np.ndarray) -> int:
+    """Draw one index given the cumulative sums of its weights."""
     total = cum[-1]
     if total <= 0.0:
         raise ValueError("cannot sample from all-zero weights")
     u = rng.random() * total
-    return min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
+    return min(int(cum.searchsorted(u, side="right")), len(cum) - 1)

@@ -24,7 +24,7 @@ import numpy as np
 from .emotion import EmotionQuadrant, argmax_quadrant
 from .errors import SequenceTooShort, TerminalNode
 from .models.base import Discriminator, EmotionClassifier, EvaluatorBudget, Policy
-from .models.sampling import sample_index, top_p_filter
+from .models.sampling import sample_cumulative, sample_index
 
 
 @dataclass
@@ -92,13 +92,10 @@ class DecodeTrace:
         }
 
 
-def selection_scores(node: SearchNode, cfg: DecodeConfig) -> np.ndarray:
+def selection_scores(node: SearchNode, cfg: DecodeConfig) -> list[float]:
     """Per-edge selection value: Q + c * prior * sqrt(N(n)) / (1 + N(n, l))."""
     root_term = cfg.exploration_c * math.sqrt(node.node_visits)
-    return np.array(
-        [e.q + root_term * e.prior / (1 + e.visits) for e in node.edges],
-        dtype=np.float64,
-    )
+    return [e.q + root_term * e.prior / (1 + e.visits) for e in node.edges]
 
 
 def select(node: SearchNode, cfg: DecodeConfig) -> int:
@@ -107,7 +104,8 @@ def select(node: SearchNode, cfg: DecodeConfig) -> int:
     Edges are stored in ascending token id order, so the first maximum is
     also the lowest-id winner on ties.
     """
-    return int(np.argmax(selection_scores(node, cfg)))
+    scores = selection_scores(node, cfg)
+    return scores.index(max(scores))
 
 
 def expand(prefix: Sequence[int], policy: Policy, cfg: DecodeConfig, vocab) -> SearchNode:
@@ -118,13 +116,8 @@ def expand(prefix: Sequence[int], policy: Policy, cfg: DecodeConfig, vocab) -> S
     """
     if prefix[-1] == vocab.end_id:
         raise TerminalNode("cannot expand past the end of the piece")
-    dist = policy.next_distribution(prefix)
-    ids = top_p_filter(dist, cfg.top_p)
-    priors = dist[ids]
-    priors = priors / priors.sum()
-    return SearchNode(
-        edges=[Edge(int(t), float(pr)) for t, pr in zip(ids, priors)]
-    )
+    ids, priors, _ = policy.nucleus(prefix, cfg.top_p)
+    return SearchNode(edges=[Edge(t, pr) for t, pr in zip(ids, priors)])
 
 
 def simulate(
@@ -146,9 +139,8 @@ def simulate(
     seq = list(prefix)
     if seq[-1] != vocab.end_id:
         for _ in range(cfg.rollout_cap):
-            dist = policy.next_distribution(seq)
-            ids = top_p_filter(dist, cfg.top_p)
-            tok = int(ids[sample_index(rng, dist[ids])])
+            ids, _, cum = policy.nucleus(seq, cfg.top_p)
+            tok = ids[sample_cumulative(rng, cum)]
             seq.append(tok)
             if tok == vocab.bar_id or tok == vocab.end_id:
                 break
@@ -220,15 +212,19 @@ def choose_token(root: SearchNode, rng) -> tuple[int, SearchNode | None]:
 
 
 def _finalize(seq: list[int], vocab) -> list[int]:
-    """Close the sequence: drop an unfinished note group, append END."""
+    """Close the sequence: drop an unfinished note group, append END.
+
+    A sequence that has not reached its first bar line gets one, so the
+    closed sequence always validates.
+    """
     kind_of = getattr(vocab, "kind_of", None)
     if kind_of is not None:  # abstract test vocabularies have no note groups
-        from .remi.tokens import OPEN_GROUP_KINDS
+        from .remi.tokens import OPEN_GROUP_KINDS, TokenKind
 
         while len(seq) > 1 and kind_of(seq[-1]) in OPEN_GROUP_KINDS:
             seq.pop()
-        if seq[-1] == vocab.start_id:
-            seq.append(vocab.bar_id)
+        if seq[-1] == vocab.start_id or kind_of(seq[-1]) is TokenKind.EMOTION:
+            seq.append(vocab.bar_id)  # START and a control token lead into a bar
     if seq[-1] != vocab.end_id:
         seq.append(vocab.end_id)
     return seq
@@ -259,6 +255,7 @@ def decode_piece(
     trace = DecodeTrace(method="puct", start=list(start))
     while len(seq) < cfg.max_tokens:
         root = expand(seq, policy, cfg, vocab)
+        ids, priors, _ = policy.nucleus(seq, cfg.top_p)  # shared with the root's edges
         for _ in range(cfg.budget):
             search_step(root, seq, policy, classifier, discriminator, cfg, budget, rng, vocab)
         token, _ = choose_token(root, rng)
@@ -266,8 +263,8 @@ def decode_piece(
         trace.records.append(
             {
                 "step": len(trace.records),
-                "candidate_ids": [e.token_id for e in root.edges],
-                "priors": [e.prior for e in root.edges],
+                "candidate_ids": ids,
+                "priors": priors,
                 "visits": [e.visits for e in root.edges],
                 "q_values": [e.q for e in root.edges],
                 "root_visits": root.node_visits,

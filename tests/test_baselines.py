@@ -72,6 +72,18 @@ class TestConditionalSampling:
         assert trace.method == "cs"
         assert trace.e_calls == 0 and trace.d_calls == 0
 
+    @pytest.mark.parametrize("max_tokens", [1, 2])
+    def test_cut_at_control_token_still_validates(self, cs_conditional, max_tokens):
+        cfg = SamplingConfig(top_p=0.9, max_bars=2, max_tokens=max_tokens)
+        seq, trace = cs_decode(
+            [VOCAB.start_id], cs_conditional, EmotionQuadrant.E1, cfg,
+            rng=np.random.default_rng(0),
+        )
+        control = VOCAB.emotion_id(EmotionQuadrant.E1)
+        assert seq == [VOCAB.start_id, control, VOCAB.bar_id, VOCAB.end_id]
+        assert VOCAB.validate_ids(seq, require_complete=True) is None
+        assert trace.records == []
+
     def test_condition_steers_sampled_tempo(self, cs_conditional):
         """E1 training data is fast; conditioning must reproduce that."""
         cfg = SamplingConfig(top_p=0.9, max_bars=2, max_tokens=40)

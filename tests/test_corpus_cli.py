@@ -23,6 +23,7 @@ from emodecode.corpus import (
 )
 from emodecode.emotion import EmotionQuadrant
 from emodecode.errors import LabelMismatch, MeterImportWarning, NoValidFiles
+from emodecode.manifest import load_manifest
 from emodecode.remi.tokens import VOCAB
 
 GOOD_SOURCES = [f"e{q}_{v}.mid" for q in range(1, 5) for v in range(2)]
@@ -165,6 +166,23 @@ def output_digest(manifest: dict) -> str:
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+# SHA-256 over the bytes of each method's .trace.json files, in name order:
+# traces must stay byte-identical, not only the ids they lead to
+TRACE_DIGESTS = {
+    "puct": "f64bd1b68962d5791c1f144f03050861143fe25e4aae2cbc78cb903e23bc43e1",
+    "sbbs": "37b34ec8c84ae1d71911db123fadb974c334f71843c7dc57a87bb73f1e9af5ac",
+    "cs": "95797c4cf728e32b54fb4b3ceaacef29eb42916ea9026acff662248df421b830",
+    "topp": "bf540afcdc6c0b415955216bcae54cb0176c215c7553c20a476e2c092fd4c530",
+}
+
+
+def trace_digest(out: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(out.glob("*.trace.json")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 class TestTrainCommand:
     def test_writes_model_files(self, workspace):
         _, _, models = workspace
@@ -209,6 +227,10 @@ class TestGenerateCommand:
         for entry in manifest["pieces"]:
             assert VOCAB.validate_ids(entry["token_ids"], require_complete=True) is None
         assert output_digest(manifest) == OUTPUT_DIGESTS[method]
+        traced = tmp_path / f"{method}_traced"
+        assert generate(models, traced, *extra, "--traces") == 0
+        assert len(list(traced.glob("*.trace.json"))) == 4
+        assert trace_digest(traced) == TRACE_DIGESTS[method]
 
     def test_runs_byte_identical(self, workspace, tmp_path):
         _, _, models = workspace
@@ -234,6 +256,14 @@ class TestGenerateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [p["emotion"] for p in manifest["pieces"]] == ["E3"]
         assert set(manifest["aggregates"]) == {"E3"}
+
+    def test_cs_cut_at_control_token_writes_valid_manifest(self, workspace, tmp_path):
+        _, _, models = workspace
+        out = tmp_path / "cs2"
+        assert generate(models, out, "--method", "cs", "--emotion", "e1", "--max-tokens", "2") == 0
+        manifest = load_manifest(out / "manifest.json")
+        (entry,) = manifest["pieces"]
+        assert VOCAB.validate_ids(entry["token_ids"], require_complete=True) is None
 
     def test_cs_untrained_emotion_is_data_error(self, workspace, midi_dir, tmp_path, capsys):
         _, corpus, _ = workspace

@@ -1,4 +1,6 @@
 """Feature-based emotion classifier and discriminator stand-ins."""
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,16 @@ from emodecode.emotion import ALL_QUADRANTS, EmotionQuadrant, argmax_quadrant
 from emodecode.errors import EmptyCorpus, NotFitted, SequenceTooShort
 from emodecode.models.base import EvaluatorBudget
 from emodecode.models.fixtures import UniformPolicy
-from emodecode.models.heuristic import HeuristicDiscriminator, HeuristicEmotionClassifier
-from emodecode.remi.tokens import VOCAB, Token
+from emodecode.models.heuristic import (
+    _MAJOR_PROFILE,
+    _MAJOR_ROTATIONS,
+    _MINOR_PROFILE,
+    _MINOR_ROTATIONS,
+    HeuristicDiscriminator,
+    HeuristicEmotionClassifier,
+    _profile_correlation,
+)
+from emodecode.remi.tokens import N_DURATION_BINS, VOCAB, Token
 
 from conftest import style_tokens
 
@@ -19,6 +29,40 @@ def fitted(steering_corpus):
     classifier = HeuristicEmotionClassifier(VOCAB).fit(sequences)
     discriminator = HeuristicDiscriminator(VOCAB).fit(sequences)
     return classifier, discriminator
+
+
+def rolled_correlation(hist: np.ndarray, profile: np.ndarray) -> float:
+    """Best Pearson correlation, rolling the centred profile on every call."""
+    if hist.sum() <= 0.0 or np.ptp(hist) == 0.0:
+        return 0.0
+    h = hist - hist.mean()
+    h_norm = math.sqrt(float(h @ h))
+    p = profile - profile.mean()
+    p_norm = math.sqrt(float(p @ p))
+    best = -1.0
+    for shift in range(12):
+        best = max(best, float(h @ np.roll(p, shift)) / (h_norm * p_norm))
+    return best
+
+
+class TestProfileCorrelation:
+    @pytest.mark.parametrize(
+        "profile, rotations",
+        [(_MAJOR_PROFILE, _MAJOR_ROTATIONS), (_MINOR_PROFILE, _MINOR_ROTATIONS)],
+        ids=["major", "minor"],
+    )
+    def test_equals_rolled_reference_bit_for_bit(self, profile, rotations):
+        rng = np.random.default_rng(17)
+        for _ in range(10_000):
+            notes = int(rng.integers(1, 40))
+            pitch_classes = rng.integers(0, 12, notes)
+            durations = rng.integers(1, N_DURATION_BINS + 1, notes).astype(np.float64)
+            hist = np.bincount(pitch_classes, weights=durations, minlength=12)
+            assert _profile_correlation(hist, rotations) == rolled_correlation(hist, profile)
+
+    def test_flat_or_empty_histogram_is_zero(self):
+        assert _profile_correlation(np.zeros(12), _MAJOR_ROTATIONS) == 0.0
+        assert _profile_correlation(np.full(12, 3.0), _MINOR_ROTATIONS) == 0.0
 
 
 class TestClassifier:

@@ -10,7 +10,7 @@ from emodecode.models.fixtures import (
     TablePolicy,
     UniformPolicy,
 )
-from emodecode.models.sampling import sample_index, top_p_filter
+from emodecode.models.sampling import sample_cumulative, sample_index, top_p_filter
 from emodecode.remi.tokens import VOCAB, Token
 
 from reference import ScriptedRNG, naive_top_p
@@ -71,6 +71,17 @@ class TestSampleIndex:
     def test_all_zero_raises(self):
         with pytest.raises(ValueError):
             sample_index(np.random.default_rng(0), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "weights", [[0.2, 0.3, 0.5], [1.0, 1.0], [3.0, 0.0, 7.0], [0.7], [1e-3, 5.0, 1e-3]]
+    )
+    def test_cumulative_form_draws_the_same_index(self, weights):
+        weights = np.array(weights)
+        uniforms = [0.0, 0.19999, 0.2, 0.21, 0.5, 0.51, 0.9999999999999999]
+        for u in uniforms:
+            assert sample_cumulative(ScriptedRNG([u]), np.cumsum(weights)) == sample_index(
+                ScriptedRNG([u]), weights
+            )
 
     def test_unnormalized_weights_sample_proportionally(self):
         rng = np.random.default_rng(5)

@@ -12,6 +12,7 @@ from emodecode.models.ngram import (
     train_ngram,
     with_emotion_prefix,
 )
+from emodecode.models.sampling import top_p_filter
 from emodecode.emotion import EmotionQuadrant
 from emodecode.remi.tokens import VOCAB, Token
 
@@ -140,6 +141,34 @@ class TestControlTokens:
         assert not conditional.seen(VOCAB.emotion_id(EmotionQuadrant.E3))
 
 
+class TestNucleus:
+    @pytest.mark.parametrize("p", [0.5, 0.9, 1.0])
+    def test_matches_filter_on_every_corpus_context(self, steering_corpus, steering_models, p):
+        policy, _, _ = steering_models
+        checked = 0
+        for seq, _ in steering_corpus:
+            for cut in range(1, len(seq)):
+                prefix = seq[:cut]
+                dist = policy.next_distribution(prefix)
+                ids = top_p_filter(dist, p)
+                mass = dist[ids]
+                got_ids, got_priors, got_cum = policy.nucleus(prefix, p)
+                assert got_ids == [int(i) for i in ids]
+                assert got_priors == [float(x) for x in mass / mass.sum()]
+                assert np.array_equal(got_cum, np.cumsum(mass))
+                checked += 1
+        assert checked > 1000
+
+    def test_repeat_call_returns_the_cached_objects(self, steering_corpus, steering_models):
+        policy, _, _ = steering_models
+        seq = steering_corpus[0][0]
+        first = policy.nucleus(seq[:5], 0.9)
+        again = policy.nucleus(list(seq[:5]), 0.9)
+        assert all(a is b for a, b in zip(first, again))
+        # the cache is per context: a different p is its own entry
+        assert policy.nucleus(seq[:5], 1.0) is not first
+
+
 class TestValidation:
     @pytest.mark.parametrize("order", [0, 1, 5])
     def test_order_range(self, order):
@@ -157,6 +186,18 @@ class TestValidation:
             policy.next_distribution([VOCAB.start_id])
         with pytest.raises(EmptyCorpus):
             policy.fit([])
+
+    def test_refit_clears_cached_nuclei(self):
+        policy = NGramPolicy(VOCAB, order=2, add_k=0.01)
+        policy.fit([MEMO_SEQ])
+        before = policy.nucleus(MEMO_SEQ[:3], 0.9)
+        assert policy.nucleus(MEMO_SEQ[:3], 0.9) is before
+        changed = list(MEMO_SEQ)
+        changed[3] = VOCAB.encode([Token.tempo(9)])[0]
+        policy.fit([changed])
+        after = policy.nucleus(MEMO_SEQ[:3], 0.9)
+        assert after is not before
+        assert after[1] != before[1]
 
     def test_refit_clears_cached_rows(self):
         policy = NGramPolicy(VOCAB, order=2, add_k=0.01)
