@@ -17,7 +17,7 @@ from .emotion import EmotionQuadrant
 from .errors import UntrainedCondition
 from .models.base import EmotionClassifier, EvaluatorBudget, Policy
 from .models.sampling import sample_cumulative, sample_index
-from .puct import DecodeTrace, _finalize
+from .puct import DecodeTrace, _emit, _finalize
 
 _LOG_FLOOR = 1e-12
 
@@ -49,19 +49,14 @@ def top_p_decode(
     policy: Policy,
     cfg: SamplingConfig,
     rng,
-    vocab=None,
     method: str = "topp",
 ) -> tuple[list[int], DecodeTrace]:
     """Plain autoregressive nucleus sampling; no evaluator in the loop."""
-    if vocab is None:
-        vocab = getattr(policy, "vocab")
-    seq = list(start)
-    bars = sum(1 for t in seq if t == vocab.bar_id)
     trace = DecodeTrace(method=method, start=list(start))
-    while len(seq) < cfg.max_tokens:
+
+    def next_token(seq: list[int]) -> int:
         ids, probs, cum = policy.nucleus(seq, cfg.top_p)
         token = ids[sample_cumulative(rng, cum)]
-        seq.append(token)
         trace.records.append(
             {
                 "step": len(trace.records),
@@ -72,13 +67,9 @@ def top_p_decode(
                 "d_calls": 0,
             }
         )
-        if token == vocab.end_id:
-            break
-        if token == vocab.bar_id:
-            bars += 1
-            if bars >= cfg.max_bars:
-                break
-    return _finalize(seq, vocab), trace
+        return token
+
+    return _emit(start, policy.vocab, cfg.max_bars, cfg.max_tokens, next_token), trace
 
 
 def cs_decode(
@@ -100,8 +91,7 @@ def cs_decode(
     if seen is not None and not seen(control):
         raise UntrainedCondition(f"no training data for {target.name}")
     prefixed = [start[0], control, *start[1:]]
-    seq, trace = top_p_decode(prefixed, conditional_policy, cfg, rng=rng, vocab=vocab, method="cs")
-    return seq, trace
+    return top_p_decode(prefixed, conditional_policy, cfg, rng=rng, method="cs")
 
 
 @dataclass
@@ -113,18 +103,12 @@ class _Beam:
     done: bool = False
 
 
-def _has_complete_bar(seq: list[int], vocab) -> bool:
-    n_bars = sum(1 for t in seq if t == vocab.bar_id)
-    return n_bars >= 2 or (n_bars >= 1 and seq[-1] == vocab.end_id)
-
-
 def sbbs_decode(
     start: Sequence[int],
     policy: Policy,
     classifier: EmotionClassifier,
     cfg: SBBSConfig,
     rng,
-    budget: EvaluatorBudget | None = None,
 ) -> tuple[list[int], DecodeTrace]:
     """Stochastic bi-objective beam search toward a target quadrant.
 
@@ -136,8 +120,7 @@ def sbbs_decode(
     value is reused for the steps inside the following bar.
     """
     vocab = policy.vocab
-    if budget is None:
-        budget = EvaluatorBudget()
+    budget = EvaluatorBudget()
     start_bars = sum(1 for t in start if t == vocab.bar_id)
     beams = [_Beam(seq=list(start), logscore=0.0, bars=start_bars) for _ in range(cfg.beams)]
     trace = DecodeTrace(method="sbbs", start=list(start))
@@ -179,7 +162,7 @@ def sbbs_decode(
                 child.done = True
             elif token == vocab.bar_id:
                 child.bars += 1
-                if _has_complete_bar(child.seq, vocab):
+                if child.bars >= 2:  # the first bar line closes no bar
                     e_vec = classifier.distribution(child.seq, budget)
                     child.log_e = math.log(max(float(e_vec[cfg.target.index]), _LOG_FLOOR))
                 if child.bars >= cfg.max_bars:

@@ -7,6 +7,7 @@ violation.  Set EMODECODE_LOG=INFO (or DEBUG) for progress logging.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -161,44 +162,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _config(cls, cfg: dict, **fixed):
+    """``cls`` built from the merged config's values for its fields."""
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg}, **fixed)
+
+
 def _decode_one(method, start, policy, classifier, discriminator, cfg, target, rng):
     if method == "puct":
-        return decode_piece(
-            start,
-            policy,
-            classifier,
-            discriminator,
-            DecodeConfig(
-                target=target,
-                budget=cfg["budget"],
-                top_p=cfg["top_p"],
-                exploration_c=cfg["exploration_c"],
-                rollout_cap=cfg["rollout_cap"],
-                max_bars=cfg["max_bars"],
-                max_tokens=cfg["max_tokens"],
-            ),
-            rng=rng,
-        )
+        decode_cfg = _config(DecodeConfig, cfg, target=target)
+        return decode_piece(start, policy, classifier, discriminator, decode_cfg, rng=rng)
     if method == "sbbs":
-        return sbbs_decode(
-            start,
-            policy,
-            classifier,
-            SBBSConfig(
-                target=target,
-                beams=cfg["beams"],
-                top_k=cfg["top_k"],
-                max_bars=cfg["max_bars"],
-                max_tokens=cfg["max_tokens"],
-            ),
-            rng=rng,
-        )
-    sampling = SamplingConfig(
-        top_p=cfg["top_p"], max_bars=cfg["max_bars"], max_tokens=cfg["max_tokens"]
-    )
+        return sbbs_decode(start, policy, classifier, _config(SBBSConfig, cfg, target=target), rng=rng)
     if method == "cs":
-        return cs_decode(start, policy, target, sampling, rng=rng)
-    return top_p_decode(start, policy, sampling, rng=rng)
+        return cs_decode(start, policy, target, _config(SamplingConfig, cfg), rng=rng)
+    return top_p_decode(start, policy, _config(SamplingConfig, cfg), rng=rng)
 
 
 def _piece_metrics(seq, target, classifier, discriminator, eval_budget) -> dict:

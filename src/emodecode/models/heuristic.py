@@ -68,22 +68,24 @@ def _sequence_stats(seq: Sequence[int], vocab: Vocabulary):
     return tempo, density, velocity, pc_hist, dur_hist
 
 
-def _profile_correlation(hist: np.ndarray, rotations: tuple[list[np.ndarray], float]) -> float:
-    """Best Pearson correlation over a profile's 12 ``_rotations``.
+def _key_correlations(hist: np.ndarray) -> tuple[float, float]:
+    """Best Pearson correlation with the major and with the minor profile.
 
-    One dot product per rotation, as ``h @ np.roll(p, shift)`` gives it: a
-    single matrix-vector product rounds differently and changes decoded ids.
+    The histogram is centred once; each profile then takes one dot product
+    per rotation, as ``h @ np.roll(p, shift)`` gives it: a single
+    matrix-vector product rounds differently and changes decoded ids.
     """
     if hist.sum() <= 0.0 or np.ptp(hist) == 0.0:
-        return 0.0
+        return 0.0, 0.0
     h = hist - hist.mean()
     h_norm = math.sqrt(float(h @ h))
-    rows, p_norm = rotations
-    best = -1.0
-    for row in rows:
-        r = float(h @ row) / (h_norm * p_norm)
-        best = max(best, r)
-    return best
+    out = []
+    for rows, p_norm in (_MAJOR_ROTATIONS, _MINOR_ROTATIONS):
+        best = -1.0
+        for row in rows:
+            best = max(best, float(h @ row) / (h_norm * p_norm))
+        out.append(best)
+    return out[0], out[1]
 
 
 class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
@@ -93,9 +95,6 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
         self.vocab = vocab
         self.means_: np.ndarray | None = None
         self.stds_: np.ndarray | None = None
-
-    def get_params(self) -> dict:
-        return {"weights": _AROUSAL_WEIGHTS}
 
     def fit(self, sequences: Iterable[Sequence[int]]) -> "HeuristicEmotionClassifier":
         rows = []
@@ -119,9 +118,8 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
         feats = np.array([tempo, density, velocity], dtype=np.float64)
         z = np.where(self.stds_ > 1e-9, (feats - self.means_) / np.where(self.stds_ > 1e-9, self.stds_, 1.0), 0.0)
         arousal = float(np.dot(_AROUSAL_WEIGHTS, z))
-        valence = _profile_correlation(pc_hist, _MAJOR_ROTATIONS) - _profile_correlation(
-            pc_hist, _MINOR_ROTATIONS
-        )
+        major, minor = _key_correlations(pc_hist)
+        valence = major - minor
         return valence, arousal
 
     def _evaluate(self, seq: list[int]) -> np.ndarray:
@@ -164,9 +162,6 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self.duration_hist_: np.ndarray | None = None
-
-    def get_params(self) -> dict:
-        return {"weights": _REALNESS_WEIGHTS, "bias": _REALNESS_BIAS}
 
     def fit(self, sequences: Iterable[Sequence[int]]) -> "HeuristicDiscriminator":
         hist = np.ones(N_DURATION_BINS, dtype=np.float64)  # add-one smoothing

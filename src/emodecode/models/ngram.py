@@ -37,9 +37,6 @@ class NGramPolicy(Policy):
         self.counts_: dict[int, dict[tuple[int, ...], dict[int, int]]] | None = None
         self._nuclei: dict[tuple[tuple[int, ...], float], tuple] = {}
 
-    def get_params(self) -> dict:
-        return {"order": self.order, "add_k": self.add_k}
-
     def fit(self, sequences: Iterable[Sequence[int]]) -> "NGramPolicy":
         counts: dict[int, dict[tuple[int, ...], dict[int, int]]] = {
             o: {} for o in range(1, self.order + 1)

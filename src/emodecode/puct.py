@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,13 +108,13 @@ def select(node: SearchNode, cfg: DecodeConfig) -> int:
     return scores.index(max(scores))
 
 
-def expand(prefix: Sequence[int], policy: Policy, cfg: DecodeConfig, vocab) -> SearchNode:
+def expand(prefix: Sequence[int], policy: Policy, cfg: DecodeConfig) -> SearchNode:
     """New node for ``prefix``: nucleus candidates, renormalized priors.
 
     The fresh node starts with one node visit and zero-visit, zero-Q edges.
     Raises TerminalNode when the prefix already ends the piece.
     """
-    if prefix[-1] == vocab.end_id:
+    if prefix[-1] == policy.vocab.end_id:
         raise TerminalNode("cannot expand past the end of the piece")
     ids, priors, _ = policy.nucleus(prefix, cfg.top_p)
     return SearchNode(edges=[Edge(t, pr) for t, pr in zip(ids, priors)])
@@ -128,7 +128,6 @@ def simulate(
     cfg: DecodeConfig,
     budget: EvaluatorBudget,
     rng,
-    vocab,
 ) -> RolloutResult:
     """Roll out to the next bar line (or end) and score the result.
 
@@ -136,6 +135,7 @@ def simulate(
     before a single bar has been completed the result is the floor reward -1
     and the evaluators are not consulted.
     """
+    vocab = policy.vocab
     seq = list(prefix)
     if seq[-1] != vocab.end_id:
         for _ in range(cfg.rollout_cap):
@@ -174,7 +174,6 @@ def search_step(
     cfg: DecodeConfig,
     budget: EvaluatorBudget,
     rng,
-    vocab,
 ) -> RolloutResult:
     """One full iteration: descend, expand a leaf, roll out, back up."""
     node = root
@@ -186,15 +185,15 @@ def search_step(
         path.append((node, edge))
         seq.append(edge.token_id)
         if edge.child is None:
-            if edge.token_id == vocab.end_id:
+            if edge.token_id == policy.vocab.end_id:
                 edge.child = SearchNode(edges=[], terminal=True)
             else:
-                edge.child = expand(seq, policy, cfg, vocab)
+                edge.child = expand(seq, policy, cfg)
             break
         node = edge.child
         if node.terminal:
             break
-    result = simulate(seq, policy, classifier, discriminator, cfg, budget, rng, vocab)
+    result = simulate(seq, policy, classifier, discriminator, cfg, budget, rng)
     backpropagate(path, result.reward)
     return result
 
@@ -230,6 +229,33 @@ def _finalize(seq: list[int], vocab) -> list[int]:
     return seq
 
 
+def _emit(
+    start: Sequence[int],
+    vocab,
+    max_bars: int,
+    max_tokens: int,
+    next_token: Callable[[list[int]], int],
+) -> list[int]:
+    """Append ``next_token(seq)`` until a stop rule fires, then close.
+
+    The decoders' shared stop rules: EndOfMusic, ``max_bars`` bar lines
+    (bars already in ``start`` count), or ``max_tokens``.  ``next_token``
+    reads the sequence so far and must not change it.
+    """
+    seq = list(start)
+    bars = seq.count(vocab.bar_id)
+    while len(seq) < max_tokens:
+        token = next_token(seq)
+        seq.append(token)
+        if token == vocab.end_id:
+            break
+        if token == vocab.bar_id:
+            bars += 1
+            if bars >= max_bars:
+                break
+    return _finalize(seq, vocab)
+
+
 def decode_piece(
     start: Sequence[int],
     policy: Policy,
@@ -237,7 +263,6 @@ def decode_piece(
     discriminator: Discriminator,
     cfg: DecodeConfig,
     rng,
-    vocab=None,
 ) -> tuple[list[int], DecodeTrace]:
     """Generate a full piece, one searched token at a time.
 
@@ -247,19 +272,15 @@ def decode_piece(
     bar lines, or at ``max_tokens``; the sequence is then closed so it
     always validates.
     """
-    if vocab is None:
-        vocab = getattr(policy, "vocab")
     budget = EvaluatorBudget()
-    seq = list(start)
-    bars = sum(1 for t in seq if t == vocab.bar_id)
     trace = DecodeTrace(method="puct", start=list(start))
-    while len(seq) < cfg.max_tokens:
-        root = expand(seq, policy, cfg, vocab)
+
+    def next_token(seq: list[int]) -> int:
+        root = expand(seq, policy, cfg)
         ids, priors, _ = policy.nucleus(seq, cfg.top_p)  # shared with the root's edges
         for _ in range(cfg.budget):
-            search_step(root, seq, policy, classifier, discriminator, cfg, budget, rng, vocab)
+            search_step(root, seq, policy, classifier, discriminator, cfg, budget, rng)
         token, _ = choose_token(root, rng)
-        seq.append(token)
         trace.records.append(
             {
                 "step": len(trace.records),
@@ -273,13 +294,9 @@ def decode_piece(
                 "d_calls": budget.d_calls,
             }
         )
-        if token == vocab.end_id:
-            break
-        if token == vocab.bar_id:
-            bars += 1
-            if bars >= cfg.max_bars:
-                break
-    seq = _finalize(seq, vocab)
+        return token
+
+    seq = _emit(start, policy.vocab, cfg.max_bars, cfg.max_tokens, next_token)
     trace.e_calls = budget.e_calls
     trace.d_calls = budget.d_calls
     return seq, trace

@@ -23,7 +23,6 @@ from .tokens import (
 TICKS_PER_BEAT = 480
 STEP_TICKS = 120
 BAR_TICKS = POSITIONS_PER_BAR * STEP_TICKS  # 1920
-TIME_SIGNATURE = (4, 4)
 DEFAULT_BPM = 120.0
 
 

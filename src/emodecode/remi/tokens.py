@@ -168,10 +168,6 @@ def tokens_to_text(seq: Iterable[Token]) -> str:
     return "\n".join(t.to_text() for t in seq) + "\n"
 
 
-def tokens_from_text(text: str) -> list[Token]:
-    return [Token.from_text(line) for line in text.splitlines() if line.strip()]
-
-
 class Vocabulary:
     """Fixed id assignment for the 247-token event set.
 
@@ -205,18 +201,12 @@ class Vocabulary:
             for t in toks
         ]
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     @property
     def vocab_size(self) -> int:
         return len(self.tokens)
 
     def id_of(self, token: Token) -> int:
         return self._ids[token]
-
-    def token_of(self, token_id: int) -> Token:
-        return self.tokens[token_id]
 
     def encode(self, seq: Iterable[Token]) -> list[int]:
         return [self._ids[t] for t in seq]
@@ -234,9 +224,6 @@ class Vocabulary:
     def kind_of(self, token_id: int) -> TokenKind:
         return TokenKind(int(self.kind_codes[token_id]))
 
-    def value_of(self, token_id: int) -> int:
-        return int(self.values[token_id])
-
     def validate_ids(self, ids: Sequence[int], *, require_complete: bool = False) -> GrammarError | None:
         kinds = [TokenKind(int(self.kind_codes[i])) for i in ids]
         idx = _first_violation(kinds, require_complete=require_complete)
@@ -253,19 +240,13 @@ def complete_bar_prefix(ids: Sequence[int], vocab: Vocabulary) -> list[int] | No
     BAR/END delimiter and any partial bar after it.  None when the sequence
     has no completed bar yet.
     """
-    bar_kind = int(TokenKind.BAR)
-    end_kind = int(TokenKind.END)
-    first_bar = None
-    last_delim = None
-    for i, tid in enumerate(ids):
-        kind = int(vocab.kind_codes[tid])
-        if kind == bar_kind:
-            if first_bar is None:
-                first_bar = i
-            else:
-                last_delim = i
-        elif kind == end_kind and first_bar is not None:
-            last_delim = i
-    if last_delim is None:
+    seq = list(ids)
+    delimiters = (vocab.bar_id, vocab.end_id)
+    try:
+        first_bar = seq.index(vocab.bar_id)
+    except ValueError:
         return None
-    return list(ids[:last_delim])
+    for i in range(len(seq) - 1, first_bar, -1):
+        if seq[i] in delimiters:
+            return seq[:i]
+    return None

@@ -90,7 +90,7 @@ def test_criterion_02_simulate_reward_goldens():
         cfg = dataclasses.replace(inst.cfg, target=quadrant)
         result = simulate(
             [0, 1], inst.policy, inst.classifier, inst.discriminator, cfg,
-            EvaluatorBudget(), ScriptedRNG([0.5] * 4), inst.vocab,
+            EvaluatorBudget(), ScriptedRNG([0.5] * 4),
         )
         rewards[quadrant] = result.reward
     elapsed = time.perf_counter() - t0
@@ -161,11 +161,11 @@ def test_criterion_05_brute_force_oracle():
 
         engine_rng = ScriptedRNG(list(stream))
         engine_budget = EvaluatorBudget()
-        root = expand(inst.start, inst.policy, inst.cfg, inst.vocab)
+        root = expand(inst.start, inst.policy, inst.cfg)
         for _ in range(inst.cfg.budget):
             search_step(
                 root, inst.start, inst.policy, inst.classifier, inst.discriminator,
-                inst.cfg, engine_budget, engine_rng, inst.vocab,
+                inst.cfg, engine_budget, engine_rng,
             )
 
         ref_rng = ScriptedRNG(list(stream))

@@ -10,7 +10,6 @@ from emodecode.baselines import (
     cs_decode,
     sbbs_decode,
     top_p_decode,
-    _has_complete_bar,
 )
 from emodecode.emotion import EmotionQuadrant
 from emodecode.errors import UntrainedCondition
@@ -198,7 +197,7 @@ def replay_sbbs_trace(trace, start, policy, classifier, target, vocab, cfg):
                 child["done"] = True
             elif token == vocab.bar_id:
                 child["bars"] += 1
-                if _has_complete_bar(child["seq"], vocab):
+                if child["seq"].count(vocab.bar_id) >= 2:
                     e_vec = classifier.distribution(child["seq"], budget)
                     child["log_e"] = math.log(max(float(e_vec[target.index]), 1e-12))
                 if child["bars"] >= cfg.max_bars:
@@ -290,10 +289,8 @@ class TestSBBS:
         cfg = SBBSConfig(
             target=EmotionQuadrant.E2, beams=3, top_k=5, max_bars=3, max_tokens=200
         )
-        budget = EvaluatorBudget()
         seq, trace = sbbs_decode(
-            [VOCAB.start_id], policy, classifier, cfg,
-            budget=budget, rng=np.random.default_rng(7),
+            [VOCAB.start_id], policy, classifier, cfg, rng=np.random.default_rng(7)
         )
         beams = replay_sbbs_trace(
             trace, [VOCAB.start_id], policy, classifier, cfg.target, VOCAB, cfg

@@ -23,11 +23,11 @@ BUNDLES = bundled_instances()
 
 
 def run_engine(inst, rng, budget):
-    root = expand(inst.start, inst.policy, inst.cfg, inst.vocab)
+    root = expand(inst.start, inst.policy, inst.cfg)
     for _ in range(inst.cfg.budget):
         search_step(
             root, inst.start, inst.policy, inst.classifier, inst.discriminator,
-            inst.cfg, budget, rng, inst.vocab,
+            inst.cfg, budget, rng,
         )
     return root
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from emodecode.baselines import SamplingConfig, top_p_decode
 from emodecode.emotion import EmotionQuadrant
 from emodecode.errors import TerminalNode
 from emodecode.models.base import EvaluatorBudget
@@ -13,6 +14,7 @@ from emodecode.puct import (
     DecodeConfig,
     Edge,
     SearchNode,
+    _finalize,
     backpropagate,
     choose_token,
     decode_piece,
@@ -79,7 +81,7 @@ class TestExpand:
         vocab = TinyVocab({0: [1, 2, 3], 1: [4], 2: [4], 3: [4]}, start_id=0, end_id=4)
         policy = TablePolicy(vocab, {0: {1: 0.5, 2: 0.3, 3: 0.2}}, by="last")
         cfg = DecodeConfig(target=EmotionQuadrant.E1, top_p=0.7)
-        node = expand([0], policy, cfg, vocab)
+        node = expand([0], policy, cfg)
         assert [e.token_id for e in node.edges] == [1, 2]
         assert node.edges[0].prior == pytest.approx(0.5 / 0.8, abs=1e-12)
         assert node.edges[1].prior == pytest.approx(0.3 / 0.8, abs=1e-12)
@@ -89,7 +91,7 @@ class TestExpand:
     def test_cannot_expand_past_end(self):
         inst = BUNDLE["pair-d10"].inst
         with pytest.raises(TerminalNode):
-            expand([0, 1, 3], inst.policy, inst.cfg, inst.vocab)
+            expand([0, 1, 3], inst.policy, inst.cfg)
 
 
 class TestSimulate:
@@ -98,7 +100,7 @@ class TestSimulate:
         budget = EvaluatorBudget()
         result = simulate(
             [0, 1], inst.policy, inst.classifier, inst.discriminator, inst.cfg,
-            budget, ScriptedRNG([0.5] * 4), inst.vocab,
+            budget, ScriptedRNG([0.5] * 4),
         )
         assert result.reward == pytest.approx(0.56, abs=1e-12)
         assert result.sequence == [0, 1, 3]
@@ -109,7 +111,7 @@ class TestSimulate:
         cfg = dataclasses.replace(inst.cfg, target=EmotionQuadrant.E2)
         result = simulate(
             [0, 1], inst.policy, inst.classifier, inst.discriminator, cfg,
-            EvaluatorBudget(), ScriptedRNG([0.5] * 4), inst.vocab,
+            EvaluatorBudget(), ScriptedRNG([0.5] * 4),
         )
         assert result.reward == pytest.approx(-0.18, abs=1e-12)
 
@@ -119,13 +121,13 @@ class TestSimulate:
         disc = MinLenDiscriminator({}, default=0.8)
         win = simulate(
             [0, 1], inst.policy, flat, disc, inst.cfg,
-            EvaluatorBudget(), ScriptedRNG([0.5] * 4), inst.vocab,
+            EvaluatorBudget(), ScriptedRNG([0.5] * 4),
         )
         assert win.reward == pytest.approx(0.25 * 0.8, abs=1e-12)
         cfg2 = dataclasses.replace(inst.cfg, target=EmotionQuadrant.E2)
         lose = simulate(
             [0, 1], inst.policy, flat, disc, cfg2,
-            EvaluatorBudget(), ScriptedRNG([0.5] * 4), inst.vocab,
+            EvaluatorBudget(), ScriptedRNG([0.5] * 4),
         )
         assert lose.reward == pytest.approx(-0.15, abs=1e-12)
 
@@ -134,7 +136,7 @@ class TestSimulate:
         budget = EvaluatorBudget()
         result = simulate(
             [0], inst.policy, inst.classifier, inst.discriminator, inst.cfg,
-            budget, ScriptedRNG([0.0] * 8), inst.vocab,
+            budget, ScriptedRNG([0.0] * 8),
         )
         assert result.reward == -1.0
         assert result.emotion is None and result.realness is None
@@ -183,11 +185,11 @@ class TestSearchStep:
         inst = bundle.inst
         budget = EvaluatorBudget()
         rng = ScriptedRNG(np.random.default_rng(3).random(64).tolist())
-        root = expand(inst.start, inst.policy, inst.cfg, inst.vocab)
+        root = expand(inst.start, inst.policy, inst.cfg)
         for _ in range(inst.cfg.budget):
             search_step(
                 root, inst.start, inst.policy, inst.classifier, inst.discriminator,
-                inst.cfg, budget, rng, inst.vocab,
+                inst.cfg, budget, rng,
             )
         assert sum(e.visits for e in root.edges) == inst.cfg.budget
         assert root.node_visits == inst.cfg.budget + 1
@@ -198,11 +200,11 @@ class TestSearchStep:
         inst = bundle.inst
         budget = EvaluatorBudget()
         rng = ScriptedRNG(np.random.default_rng(11).random(bundle.rng_len).tolist())
-        root = expand(inst.start, inst.policy, inst.cfg, inst.vocab)
+        root = expand(inst.start, inst.policy, inst.cfg)
         for _ in range(inst.cfg.budget):
             search_step(
                 root, inst.start, inst.policy, inst.classifier, inst.discriminator,
-                inst.cfg, budget, rng, inst.vocab,
+                inst.cfg, budget, rng,
             )
         for edge in root.edges:
             assert -1.0 - 1e-12 <= edge.q <= 1.0 + 1e-12
@@ -248,6 +250,26 @@ def _bar_loop_instance():
     return vocab, policy, classifier, discriminator
 
 
+def _bar_loop_decode(decoder, start, *, seed, budget, max_bars, max_tokens=1024):
+    """Decode on the bar-loop instance with ``decode_piece`` or ``top_p_decode``."""
+    vocab, policy, classifier, discriminator = _bar_loop_instance()
+    rng = np.random.default_rng(seed)
+    if decoder == "decode_piece":
+        cfg = DecodeConfig(
+            target=EmotionQuadrant.E2, budget=budget, top_p=1.0, rollout_cap=24,
+            max_bars=max_bars, max_tokens=max_tokens,
+        )
+        seq, trace = decode_piece(start, policy, classifier, discriminator, cfg, rng=rng)
+    else:
+        cfg = SamplingConfig(top_p=1.0, max_bars=max_bars, max_tokens=max_tokens)
+        seq, trace = top_p_decode(start, policy, cfg, rng=rng)
+    return vocab, seq, trace
+
+
+# both decoders share the stop-and-close loop
+STOP_RULE_DECODERS = pytest.mark.parametrize("decoder", ["decode_piece", "top_p_decode"])
+
+
 class TestDecodePiece:
     def test_stops_after_max_bars(self):
         vocab, policy, classifier, discriminator = _bar_loop_instance()
@@ -257,42 +279,40 @@ class TestDecodePiece:
         )
         seq, trace = decode_piece(
             [0], policy, classifier, discriminator, cfg,
-            rng=np.random.default_rng(0), vocab=vocab,
+            rng=np.random.default_rng(0),
         )
         assert seq.count(vocab.bar_id) == 16
         assert seq[-1] == vocab.end_id
         assert len(seq) == 1 + len(trace.records) + 1
 
-    def test_counts_bars_already_in_the_start(self):
-        vocab, policy, classifier, discriminator = _bar_loop_instance()
-        cfg = DecodeConfig(
-            target=EmotionQuadrant.E2, budget=4, top_p=1.0, rollout_cap=24, max_bars=2
-        )
-        seq, _ = decode_piece(
-            [0, 2, 1], policy, classifier, discriminator, cfg,
-            rng=np.random.default_rng(1), vocab=vocab,
-        )
+    @STOP_RULE_DECODERS
+    def test_counts_bars_already_in_the_start(self, decoder):
+        vocab, seq, _ = _bar_loop_decode(decoder, [0, 2, 1], seed=1, budget=4, max_bars=2)
         assert seq.count(vocab.bar_id) == 2
 
-    def test_max_tokens_cutoff(self):
-        vocab, policy, classifier, discriminator = _bar_loop_instance()
-        cfg = DecodeConfig(
-            target=EmotionQuadrant.E2, budget=2, top_p=1.0, rollout_cap=24,
-            max_bars=10_000, max_tokens=12,
-        )
-        seq, _ = decode_piece(
-            [0], policy, classifier, discriminator, cfg,
-            rng=np.random.default_rng(2), vocab=vocab,
+    @STOP_RULE_DECODERS
+    def test_max_tokens_cutoff(self, decoder):
+        vocab, seq, _ = _bar_loop_decode(
+            decoder, [0], seed=2, budget=2, max_bars=10_000, max_tokens=12
         )
         assert len(seq) <= 13
         assert seq[-1] == vocab.end_id
+
+    @STOP_RULE_DECODERS
+    def test_start_at_max_tokens_is_only_closed(self, decoder):
+        start = [0, 2, 1, 1, 2, 1]
+        vocab, seq, trace = _bar_loop_decode(
+            decoder, start, seed=3, budget=2, max_bars=16, max_tokens=len(start)
+        )
+        assert seq == _finalize(list(start), vocab)
+        assert trace.records == []
 
     def test_budget_deltas_per_emitted_token(self):
         bundle = BUNDLE["pair-d10"]
         inst = bundle.inst
         seq, trace = decode_piece(
             inst.start, inst.policy, inst.classifier, inst.discriminator, inst.cfg,
-            rng=np.random.default_rng(5), vocab=inst.vocab,
+            rng=np.random.default_rng(5),
         )
         d = inst.cfg.budget
         prev = (0, 0)
@@ -309,7 +329,7 @@ class TestDecodePiece:
         for _ in range(2):
             seq, trace = decode_piece(
                 inst.start, inst.policy, inst.classifier, inst.discriminator, inst.cfg,
-                rng=np.random.default_rng(99), vocab=inst.vocab,
+                rng=np.random.default_rng(99),
             )
             runs.append((seq, trace.to_dict()))
         assert runs[0] == runs[1]
@@ -319,7 +339,7 @@ class TestDecodePiece:
         inst = bundle.inst
         _, trace = decode_piece(
             inst.start, inst.policy, inst.classifier, inst.discriminator, inst.cfg,
-            rng=np.random.default_rng(8), vocab=inst.vocab,
+            rng=np.random.default_rng(8),
         )
         expected = {
             "step", "candidate_ids", "priors", "visits", "q_values",

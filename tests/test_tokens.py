@@ -10,7 +10,6 @@ from emodecode.remi.tokens import (
     TokenKind,
     complete_bar_prefix,
     grammar_mask,
-    tokens_from_text,
     tokens_to_text,
     validate_sequence,
 )
@@ -22,7 +21,7 @@ def T(text: str) -> list[Token]:
 
 class TestVocabulary:
     def test_size_is_247(self):
-        assert len(VOCAB) == 247
+        assert VOCAB.vocab_size == 247
         assert VOCAB.vocab_size == 3 + 16 + 32 + 128 + 32 + 32 + 4
 
     def test_fixed_anchor_ids(self):
@@ -40,15 +39,15 @@ class TestVocabulary:
     def test_bijection(self):
         for i, tok in enumerate(VOCAB.tokens):
             assert VOCAB.id_of(tok) == i
-            assert VOCAB.token_of(i) == tok
-        assert len({VOCAB.id_of(t) for t in VOCAB.tokens}) == len(VOCAB)
+            assert VOCAB.decode([i]) == [tok]
+        assert len({VOCAB.id_of(t) for t in VOCAB.tokens}) == VOCAB.vocab_size
 
     def test_encode_decode_roundtrip(self):
         seq = T("START:0 BAR:0 POSITION:1 PITCH:60 DURATION:4 VELOCITY:16 END:0")
         assert VOCAB.decode(VOCAB.encode(seq)) == seq
 
     def test_pitch_ids_carry_raw_midi_values(self):
-        assert VOCAB.value_of(VOCAB.id_of(Token.pitch(60))) == 60
+        assert VOCAB.values[VOCAB.id_of(Token.pitch(60))] == 60
         assert VOCAB.kind_of(VOCAB.id_of(Token.pitch(60))) is TokenKind.PITCH
 
     def test_no_chord_tokens(self):
@@ -87,7 +86,7 @@ class TestTokenConstruction:
 
     def test_text_roundtrip(self):
         seq = T("START:0 BAR:0 POSITION:3 TEMPO:12 PITCH:64 DURATION:2 VELOCITY:8 END:0")
-        assert tokens_from_text(tokens_to_text(seq)) == seq
+        assert [Token.from_text(line) for line in tokens_to_text(seq).splitlines()] == seq
 
     def test_from_text_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -166,7 +165,38 @@ class TestValidation:
                 assert validate_sequence(seq) is None
 
 
+def kind_scan_bar_prefix(ids, vocab):
+    """Reference: one pass over kind codes, tracking the first BAR and the
+    last BAR or END after it."""
+    bar_kind, end_kind = int(TokenKind.BAR), int(TokenKind.END)
+    first_bar = last_delim = None
+    for i, tid in enumerate(ids):
+        kind = int(vocab.kind_codes[tid])
+        if kind == bar_kind:
+            if first_bar is None:
+                first_bar = i
+            else:
+                last_delim = i
+        elif kind == end_kind and first_bar is not None:
+            last_delim = i
+    return None if last_delim is None else list(ids[:last_delim])
+
+
 class TestCompleteBarPrefix:
+    def test_matches_kind_scan_reference(self, steering_corpus):
+        for seq, _ in steering_corpus:
+            closed = seq + [VOCAB.end_id]
+            for n in range(len(closed) + 1):
+                assert complete_bar_prefix(closed[:n], VOCAB) == kind_scan_bar_prefix(closed[:n], VOCAB)
+        rng = np.random.default_rng(23)
+        for _ in range(5000):
+            ids = rng.integers(0, VOCAB.vocab_size, int(rng.integers(0, 40)))
+            ids[rng.random(ids.size) < 0.15] = VOCAB.bar_id
+            ids[rng.random(ids.size) < 0.05] = VOCAB.end_id
+            expected = kind_scan_bar_prefix(ids.tolist(), VOCAB)
+            assert complete_bar_prefix(ids.tolist(), VOCAB) == expected
+            assert complete_bar_prefix(ids, VOCAB) == expected  # numpy ints
+
     def test_no_closed_bar_yet(self):
         ids = VOCAB.encode(T("START:0 BAR:0 POSITION:1 PITCH:60 DURATION:4 VELOCITY:16"))
         assert complete_bar_prefix(ids, VOCAB) is None
