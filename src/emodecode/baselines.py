@@ -28,6 +28,10 @@ class SamplingConfig:
     max_bars: int = 16
     max_tokens: int = 1024
 
+    def __post_init__(self):
+        if not 0.0 < self.top_p <= 1.0:
+            raise ValueError("top_p must be in (0, 1]")
+
 
 @dataclass
 class SBBSConfig:

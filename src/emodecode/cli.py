@@ -54,20 +54,19 @@ log = logging.getLogger("emodecode")
 
 METHODS = ("puct", "sbbs", "cs", "topp")
 
-# nucleus 0.9, 50 search iterations per token, exploration constant 1,
-# 5 beams with 10 expansions each, 16-bar pieces
-DEFAULTS = {
-    "top_p": 0.9,
-    "budget": 50,
-    "exploration_c": 1.0,
-    "rollout_cap": 64,
-    "beams": 5,
-    "top_k": 10,
-    "max_bars": 16,
-    "max_tokens": 1024,
-    "count": 1,
-    "seed": 0,
-}
+
+def _field_defaults(*classes) -> dict:
+    """Field name -> default over ``classes``; a field they share has one default."""
+    return {
+        f.name: f.default
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING
+    }
+
+
+# the decoder configs' own defaults, plus pieces per emotion and the master seed
+DEFAULTS = {**_field_defaults(DecodeConfig, SBBSConfig, SamplingConfig), "count": 1, "seed": 0}
 
 _DATA_ERRORS = (
     NoValidFiles,

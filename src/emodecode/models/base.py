@@ -38,7 +38,7 @@ class Policy:
         """Distribution over the full vocabulary given ``prefix``."""
         raise NotImplementedError
 
-    def nucleus(self, prefix: Sequence[int], p: float) -> tuple[list[int], list[float], np.ndarray]:
+    def nucleus(self, prefix: Sequence[int], p: float) -> tuple[list[int], list[float], list[float]]:
         """Top-``p`` candidates after ``prefix``: ``(ids, priors, cum)``.
 
         ``ids`` are the ascending ``top_p_filter`` ids, ``priors`` their
@@ -50,7 +50,7 @@ class Policy:
         dist = self.next_distribution(prefix)
         ids = top_p_filter(dist, p)
         mass = dist[ids]
-        return ids.tolist(), (mass / mass.sum()).tolist(), np.cumsum(mass)
+        return ids.tolist(), (mass / mass.sum()).tolist(), np.cumsum(mass).tolist()
 
     def _legal(self, prefix: Sequence[int]) -> np.ndarray:
         if not prefix:

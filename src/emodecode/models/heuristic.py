@@ -8,10 +8,11 @@ entropy and how plausible the duration histogram looks next to the corpus.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,28 +45,77 @@ _MAJOR_ROTATIONS = _rotations(_MAJOR_PROFILE)
 _MINOR_ROTATIONS = _rotations(_MINOR_PROFILE)
 
 
-def _sequence_stats(seq: Sequence[int], vocab: Vocabulary):
-    """One pass over ids: (tempo, density, velocity, pc histogram, durations)."""
-    arr = np.asarray(seq, dtype=np.int64)
-    kinds = vocab.kind_codes[arr]
-    values = vocab.values[arr].astype(np.int64)
-    bars = int(np.count_nonzero(kinds == int(TokenKind.BAR)))
-    tempo_vals = values[kinds == int(TokenKind.TEMPO)]
-    tempo = float(np.mean(30.0 + 5.0 * tempo_vals)) if tempo_vals.size else DEFAULT_BPM
-    vel_vals = values[kinds == int(TokenKind.VELOCITY)]
-    notes = int(vel_vals.size)
-    velocity = float(np.minimum(vel_vals * 4, 127).mean()) if notes else 0.0
-    dur_idx = np.flatnonzero(kinds == int(TokenKind.DURATION))
-    if dur_idx.size:
-        dur_vals = values[dur_idx]
-        pitch_vals = values[dur_idx - 1]  # a Duration directly follows its Pitch
-        pc_hist = np.bincount(pitch_vals % 12, weights=dur_vals.astype(np.float64), minlength=12)
-        dur_hist = np.bincount(dur_vals - 1, minlength=N_DURATION_BINS).astype(np.float64)
+# the feature loop reads plain Python ints and lists, not numpy scalars
+_KIND_PAIR_LEGAL = KIND_PAIR_LEGAL.tolist()
+_START, _BAR, _TEMPO = int(TokenKind.START), int(TokenKind.BAR), int(TokenKind.TEMPO)
+_DURATION, _VELOCITY, _EMOTION = int(TokenKind.DURATION), int(TokenKind.VELOCITY), int(TokenKind.EMOTION)
+
+
+class _Features(NamedTuple):
+    """Everything either evaluator reads from a sequence."""
+
+    tempo: float
+    density: float
+    velocity: float
+    pc_hist: tuple[int, ...]  # pitch class -> summed duration bins
+    dur_hist: tuple[int, ...]  # duration bin - 1 -> count
+    validity: float  # fraction of adjacent pairs the grammar allows
+
+
+@functools.lru_cache(maxsize=4)
+def _id_tables(vocab: Vocabulary) -> tuple[list[int], list[int]]:
+    """Kind code and value of every id, as Python ints."""
+    return vocab.kind_codes.tolist(), vocab.values.tolist()
+
+
+# one entry: the classifier and then the discriminator score the same sequence
+@functools.lru_cache(maxsize=1)
+def _sequence_features(ids: tuple[int, ...], vocab: Vocabulary) -> _Features:
+    """One pass over ids, in integer arithmetic.
+
+    Every mean is an integer sum divided once, so each float is the
+    correctly rounded quotient that the numpy means gave.  A Duration's
+    pitch is the value of the token before it (for index 0, as numpy
+    indexing does, the last token).
+    """
+    kinds, values = _id_tables(vocab)
+    bars = tempo_sum = tempos = velocity_sum = notes = legal = 0
+    pc_hist = [0] * 12
+    dur_hist = [0] * N_DURATION_BINS
+    prev_kind = -1
+    prev_value = values[ids[-1]] if ids else 0
+    for tok in ids:
+        kind = kinds[tok]
+        value = values[tok]
+        if kind == _DURATION:
+            pc_hist[prev_value % 12] += value
+            dur_hist[value - 1] += 1
+        elif kind == _VELOCITY:
+            velocity_sum += min(value * 4, 127)
+            notes += 1
+        elif kind == _TEMPO:
+            tempo_sum += value
+            tempos += 1
+        elif kind == _BAR:
+            bars += 1
+        if prev_kind >= 0:
+            legal += _KIND_PAIR_LEGAL[prev_kind][kind]
+        prev_kind = kind
+        prev_value = value
+    if len(ids) < 2:
+        validity = 1.0
     else:
-        pc_hist = np.zeros(12, dtype=np.float64)
-        dur_hist = np.zeros(N_DURATION_BINS, dtype=np.float64)
-    density = notes / max(1, bars)
-    return tempo, density, velocity, pc_hist, dur_hist
+        if kinds[ids[0]] == _START and kinds[ids[1]] == _EMOTION:
+            legal += 1  # the raw pair rule forbids it, but a control token may follow START
+        validity = legal / (len(ids) - 1)
+    return _Features(
+        tempo=(30 * tempos + 5 * tempo_sum) / tempos if tempos else DEFAULT_BPM,
+        density=notes / max(1, bars),
+        velocity=velocity_sum / notes if notes else 0.0,
+        pc_hist=tuple(pc_hist),
+        dur_hist=tuple(dur_hist),
+        validity=validity,
+    )
 
 
 def _key_correlations(hist: np.ndarray) -> tuple[float, float]:
@@ -88,6 +138,12 @@ def _key_correlations(hist: np.ndarray) -> tuple[float, float]:
     return out[0], out[1]
 
 
+@functools.lru_cache(maxsize=1024)  # about 0.5 MB
+def _cached_key_correlations(pc_hist: tuple[int, ...]) -> tuple[float, float]:
+    """``_key_correlations`` of an integer histogram, memoised."""
+    return _key_correlations(np.array(pc_hist, dtype=np.float64))
+
+
 class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
     """Quadrant probabilities from corpus-calibrated arousal and valence."""
 
@@ -99,8 +155,8 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
     def fit(self, sequences: Iterable[Sequence[int]]) -> "HeuristicEmotionClassifier":
         rows = []
         for seq in sequences:
-            tempo, density, velocity, _, _ = _sequence_stats(seq, self.vocab)
-            rows.append((tempo, density, velocity))
+            f = _sequence_features(tuple(seq), self.vocab)
+            rows.append((f.tempo, f.density, f.velocity))
         if not rows:
             raise EmptyCorpus("cannot calibrate on an empty corpus")
         arr = np.asarray(rows, dtype=np.float64)
@@ -114,11 +170,11 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
 
     def valence_arousal(self, seq: Sequence[int]) -> tuple[float, float]:
         self._require_fitted()
-        tempo, density, velocity, pc_hist, _ = _sequence_stats(seq, self.vocab)
-        feats = np.array([tempo, density, velocity], dtype=np.float64)
+        f = _sequence_features(tuple(seq), self.vocab)
+        feats = np.array([f.tempo, f.density, f.velocity], dtype=np.float64)
         z = np.where(self.stds_ > 1e-9, (feats - self.means_) / np.where(self.stds_ > 1e-9, self.stds_, 1.0), 0.0)
         arousal = float(np.dot(_AROUSAL_WEIGHTS, z))
-        major, minor = _key_correlations(pc_hist)
+        major, minor = _cached_key_correlations(f.pc_hist)
         valence = major - minor
         return valence, arousal
 
@@ -167,28 +223,19 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
         hist = np.ones(N_DURATION_BINS, dtype=np.float64)  # add-one smoothing
         seen = False
         for seq in sequences:
-            _, _, _, _, dur = _sequence_stats(seq, self.vocab)
-            hist += dur
+            hist += _sequence_features(tuple(seq), self.vocab).dur_hist
             seen = True
         if not seen:
             raise EmptyCorpus("cannot calibrate on an empty corpus")
         self.duration_hist_ = hist / hist.sum()
         return self
 
-    def _validity_fraction(self, seq: Sequence[int]) -> float:
-        if len(seq) < 2:
-            return 1.0
-        kinds = self.vocab.kind_codes[np.asarray(seq, dtype=np.int64)]
-        ok = KIND_PAIR_LEGAL[kinds[:-1], kinds[1:]]
-        if kinds[0] == int(TokenKind.START) and kinds[1] == int(TokenKind.EMOTION):
-            ok = ok.copy()
-            ok[0] = True
-        return float(ok.mean())
-
     def _evaluate(self, seq: list[int]) -> float:
         if self.duration_hist_ is None:
             raise NotFitted("discriminator must be fit() or load()ed before use")
-        _, _, _, pc_hist, dur_hist = _sequence_stats(seq, self.vocab)
+        f = _sequence_features(tuple(seq), self.vocab)
+        pc_hist = np.array(f.pc_hist, dtype=np.float64)
+        dur_hist = np.array(f.dur_hist, dtype=np.float64)
         total_pc = pc_hist.sum()
         if total_pc > 0.0:
             probs = pc_hist[pc_hist > 0.0] / total_pc
@@ -200,7 +247,7 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
             fit = float(np.minimum(dur_hist / total_dur, self.duration_hist_).sum())
         else:
             fit = 0.0
-        x = (self._validity_fraction(seq), entropy, fit)
+        x = (f.validity, entropy, fit)
         logit = _REALNESS_BIAS + float(np.dot(_REALNESS_WEIGHTS, x))
         return 1.0 / (1.0 + math.exp(-logit))
 

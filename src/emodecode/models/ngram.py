@@ -72,7 +72,7 @@ class NGramPolicy(Policy):
         """The prefix's last ``order - 1`` ids: all the distribution depends on."""
         return tuple(prefix[-(self.order - 1) :])  # numpy ints hash and compare as ints
 
-    def nucleus(self, prefix: Sequence[int], p: float) -> tuple[list[int], list[float], np.ndarray]:
+    def nucleus(self, prefix: Sequence[int], p: float) -> tuple[list[int], list[float], list[float]]:
         """Cached per context and ``p``; the returned objects are shared."""
         key = (self._context(prefix), p)
         hit = self._nuclei.get(key)

@@ -6,6 +6,9 @@ decision by decision.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from typing import Sequence
+
 import numpy as np
 
 
@@ -30,10 +33,14 @@ def sample_index(rng, probs: np.ndarray) -> int:
     return sample_cumulative(rng, np.cumsum(probs))
 
 
-def sample_cumulative(rng, cum: np.ndarray) -> int:
-    """Draw one index given the cumulative sums of its weights."""
+def sample_cumulative(rng, cum: Sequence[float]) -> int:
+    """Draw one index given the cumulative sums of its weights.
+
+    ``cum`` is a list or an array; ``bisect_right`` finds the same index
+    as ``searchsorted(side="right")`` on the same floats.
+    """
     total = cum[-1]
     if total <= 0.0:
         raise ValueError("cannot sample from all-zero weights")
     u = rng.random() * total
-    return min(int(cum.searchsorted(u, side="right")), len(cum) - 1)
+    return min(bisect_right(cum, u), len(cum) - 1)

@@ -46,6 +46,8 @@ class DecodeConfig:
             raise ValueError("top_p must be in (0, 1]")
         if self.exploration_c < 0.0:
             raise ValueError("exploration_c must be non-negative")
+        if self.rollout_cap < 0:
+            raise ValueError("rollout_cap must be non-negative")
 
 
 @dataclass
@@ -286,8 +288,8 @@ def decode_piece(
                 "step": len(trace.records),
                 "candidate_ids": ids,
                 "priors": priors,
-                "visits": [e.visits for e in root.edges],
-                "q_values": [e.q for e in root.edges],
+                "visits": tuple([e.visits for e in root.edges]),  # exact-size: callers keep traces
+                "q_values": tuple([e.q for e in root.edges]),
                 "root_visits": root.node_visits,
                 "chosen_id": token,
                 "e_calls": budget.e_calls,

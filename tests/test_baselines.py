@@ -327,3 +327,10 @@ class TestSBBSConfigValidation:
     def test_top_k_at_least_beams(self):
         with pytest.raises(ValueError):
             SBBSConfig(target=EmotionQuadrant.E1, beams=4, top_k=3)
+
+
+class TestSamplingConfigValidation:
+    @pytest.mark.parametrize("top_p", [0.0, 1.5, -0.1])
+    def test_top_p_range(self, top_p):
+        with pytest.raises(ValueError):
+            SamplingConfig(top_p=top_p)

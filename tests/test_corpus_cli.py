@@ -4,6 +4,7 @@ CLI tests run in-process through cli.main and assert on exit codes and on
 the files each command writes.  Generation configs are kept tiny (2 bars,
 budget 4) so the whole file stays fast.
 """
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from emodecode import cli
+from emodecode.baselines import SamplingConfig, SBBSConfig
 from emodecode.corpus import (
     corpus_sequences,
     dump_corpus,
@@ -24,6 +26,7 @@ from emodecode.corpus import (
 from emodecode.emotion import EmotionQuadrant
 from emodecode.errors import LabelMismatch, MeterImportWarning, NoValidFiles
 from emodecode.manifest import load_manifest
+from emodecode.puct import DecodeConfig
 from emodecode.remi.tokens import VOCAB
 
 GOOD_SOURCES = [f"e{q}_{v}.mid" for q in range(1, 5) for v in range(2)]
@@ -283,6 +286,24 @@ class TestGenerateCommand:
         _, _, models = workspace
         assert generate(models, tmp_path / "out", "--emotion", "e5") == 2
 
+    @pytest.mark.parametrize(
+        "method, flag, value",
+        [
+            ("topp", "--top-p", "0"),
+            ("cs", "--top-p", "1.5"),
+            ("puct", "--top-p", "0"),
+            ("puct", "--rollout-cap", "-1"),
+        ],
+    )
+    def test_out_of_range_decoder_setting_is_data_error(
+        self, workspace, tmp_path, capsys, method, flag, value
+    ):
+        _, _, models = workspace
+        out = tmp_path / "out"
+        assert generate(models, out, "--method", method, "--emotion", "e1", flag, value) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_unknown_method_is_usage_error(self, workspace, tmp_path):
         _, _, models = workspace
         with pytest.raises(SystemExit) as info:
@@ -291,6 +312,15 @@ class TestGenerateCommand:
 
 
 class TestConfigFile:
+    def test_defaults_come_from_the_decoder_configs(self):
+        defaults = {}
+        for cls in (DecodeConfig, SBBSConfig, SamplingConfig):
+            for f in dataclasses.fields(cls):
+                if f.default is not dataclasses.MISSING:
+                    # a field the configs share has a single default
+                    assert defaults.setdefault(f.name, f.default) == f.default, f.name
+        assert cli.DEFAULTS == {**defaults, "count": 1, "seed": 0}
+
     def test_sections_merge_with_flag_priority(self, workspace, tmp_path):
         _, _, models = workspace
         config = tmp_path / "cfg.yaml"

@@ -8,15 +8,20 @@ from emodecode.baselines import SamplingConfig, top_p_decode
 from emodecode.emotion import ALL_QUADRANTS, EmotionQuadrant, argmax_quadrant
 from emodecode.errors import EmptyCorpus, NotFitted, SequenceTooShort
 from emodecode.models.base import EvaluatorBudget
+from emodecode.models import heuristic
 from emodecode.models.fixtures import UniformPolicy
 from emodecode.models.heuristic import (
     _MAJOR_PROFILE,
     _MINOR_PROFILE,
     HeuristicDiscriminator,
     HeuristicEmotionClassifier,
+    _cached_key_correlations,
+    _Features,
     _key_correlations,
+    _sequence_features,
 )
-from emodecode.remi.tokens import N_DURATION_BINS, VOCAB, Token
+from emodecode.remi.piece import DEFAULT_BPM
+from emodecode.remi.tokens import KIND_PAIR_LEGAL, N_DURATION_BINS, VOCAB, Token, TokenKind
 
 from conftest import style_tokens
 
@@ -43,6 +48,135 @@ def rolled_correlation(hist: np.ndarray, profile: np.ndarray) -> float:
     return best
 
 
+def numpy_sequence_stats(seq, vocab):
+    """The numpy feature pass the evaluators used before: (tempo, density, velocity, pc, dur)."""
+    arr = np.asarray(seq, dtype=np.int64)
+    kinds = vocab.kind_codes[arr]
+    values = vocab.values[arr].astype(np.int64)
+    bars = int(np.count_nonzero(kinds == int(TokenKind.BAR)))
+    tempo_vals = values[kinds == int(TokenKind.TEMPO)]
+    tempo = float(np.mean(30.0 + 5.0 * tempo_vals)) if tempo_vals.size else DEFAULT_BPM
+    vel_vals = values[kinds == int(TokenKind.VELOCITY)]
+    notes = int(vel_vals.size)
+    velocity = float(np.minimum(vel_vals * 4, 127).mean()) if notes else 0.0
+    dur_idx = np.flatnonzero(kinds == int(TokenKind.DURATION))
+    if dur_idx.size:
+        dur_vals = values[dur_idx]
+        pitch_vals = values[dur_idx - 1]
+        pc_hist = np.bincount(pitch_vals % 12, weights=dur_vals.astype(np.float64), minlength=12)
+        dur_hist = np.bincount(dur_vals - 1, minlength=N_DURATION_BINS).astype(np.float64)
+    else:
+        pc_hist = np.zeros(12, dtype=np.float64)
+        dur_hist = np.zeros(N_DURATION_BINS, dtype=np.float64)
+    density = notes / max(1, bars)
+    return tempo, density, velocity, pc_hist, dur_hist
+
+
+def numpy_validity_fraction(seq, vocab) -> float:
+    """The discriminator's numpy grammar-validity fraction from before."""
+    if len(seq) < 2:
+        return 1.0
+    kinds = vocab.kind_codes[np.asarray(seq, dtype=np.int64)]
+    ok = KIND_PAIR_LEGAL[kinds[:-1], kinds[1:]]
+    if kinds[0] == int(TokenKind.START) and kinds[1] == int(TokenKind.EMOTION):
+        ok = ok.copy()
+        ok[0] = True
+    return float(ok.mean())
+
+
+def reference_features(ids, vocab) -> _Features:
+    """``_sequence_features`` rebuilt from the numpy reference."""
+    tempo, density, velocity, pc_hist, dur_hist = numpy_sequence_stats(list(ids), vocab)
+    return _Features(
+        tempo=tempo,
+        density=density,
+        velocity=velocity,
+        pc_hist=tuple(int(x) for x in pc_hist),
+        dur_hist=tuple(int(x) for x in dur_hist),
+        validity=numpy_validity_fraction(list(ids), vocab),
+    )
+
+
+def assert_features_match(seq):
+    got = _sequence_features(tuple(seq), VOCAB)
+    tempo, density, velocity, pc_hist, dur_hist = numpy_sequence_stats(seq, VOCAB)
+    assert (got.tempo, got.density, got.velocity) == (tempo, density, velocity)
+    assert list(got.pc_hist) == pc_hist.tolist()
+    assert list(got.dur_hist) == dur_hist.tolist()
+    assert got.validity == numpy_validity_fraction(seq, VOCAB)
+
+
+def grammar_walk(rng, length: int) -> list[int]:
+    """START, sometimes a control token, then random legal successors."""
+    seq = [VOCAB.start_id]
+    if rng.random() < 0.3:
+        seq.append(VOCAB.emotion_id(ALL_QUADRANTS[int(rng.integers(4))]))
+    while len(seq) < length:
+        successors = VOCAB.successors(seq[-1])
+        if successors.size == 0:
+            break
+        seq.append(int(rng.choice(successors)))
+    return seq
+
+
+class TestFeaturePass:
+    def test_every_corpus_prefix_matches_numpy_reference(self, steering_corpus):
+        for seq, _ in steering_corpus:
+            for n in range(len(seq) + 1):
+                assert_features_match(seq[:n])
+
+    def test_random_grammar_walks_match_numpy_reference(self):
+        rng = np.random.default_rng(29)
+        for _ in range(5000):
+            seq = grammar_walk(rng, int(rng.integers(1, 80)))
+            assert_features_match(seq)
+            assert_features_match(np.array(seq))  # numpy ints
+
+    def test_arbitrary_ids_match_numpy_reference(self):
+        # illegal pairs, and a Duration at index 0 that takes the last token's value
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            seq = rng.integers(0, VOCAB.vocab_size, int(rng.integers(0, 40)))
+            assert_features_match(seq.tolist())
+            assert_features_match(seq)
+
+    def test_memo_returns_reference_values_and_counts_every_call(
+        self, fitted, steering_corpus, monkeypatch
+    ):
+        classifier, discriminator = fitted
+        a, b = steering_corpus[0][0], steering_corpus[9][0]
+        with monkeypatch.context() as patch:
+            patch.setattr(heuristic, "_sequence_features", reference_features)
+            budget = EvaluatorBudget()
+            expected = {
+                id(seq): (classifier.distribution(seq, budget), discriminator.realness(seq, budget))
+                for seq in (a, b)
+            }
+        budget = EvaluatorBudget()
+        _sequence_features.cache_clear()
+        for calls, seq in enumerate((a, b, a), start=1):
+            want_e, want_d = expected[id(seq)]
+            misses = _sequence_features.cache_info().misses
+            assert np.array_equal(classifier.distribution(seq, budget), want_e)
+            assert budget.snapshot() == (calls, calls - 1)
+            assert _sequence_features.cache_info().misses == misses + 1  # one entry: A was evicted
+            hits = _sequence_features.cache_info().hits
+            assert discriminator.realness(seq, budget) == want_d
+            assert budget.snapshot() == (calls, calls)
+            assert _sequence_features.cache_info().hits == hits + 1  # realness reused the pass
+
+    def test_fit_matches_numpy_reference(self, fitted, steering_corpus):
+        classifier, discriminator = fitted
+        stats = [numpy_sequence_stats(seq, VOCAB) for seq, _ in steering_corpus]
+        rows = np.asarray([s[:3] for s in stats], dtype=np.float64)
+        assert np.array_equal(classifier.means_, rows.mean(axis=0))
+        assert np.array_equal(classifier.stds_, rows.std(axis=0))
+        hist = np.ones(N_DURATION_BINS, dtype=np.float64)
+        for s in stats:
+            hist += s[4]
+        assert np.array_equal(discriminator.duration_hist_, hist / hist.sum())
+
+
 class TestProfileCorrelation:
     @pytest.mark.parametrize(
         "profile, index", [(_MAJOR_PROFILE, 0), (_MINOR_PROFILE, 1)], ids=["major", "minor"]
@@ -55,6 +189,17 @@ class TestProfileCorrelation:
             durations = rng.integers(1, N_DURATION_BINS + 1, notes).astype(np.float64)
             hist = np.bincount(pitch_classes, weights=durations, minlength=12)
             assert _key_correlations(hist)[index] == rolled_correlation(hist, profile)
+
+    def test_memoised_equals_unmemoised(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10_000):
+            notes = int(rng.integers(1, 40))
+            pitch_classes = rng.integers(0, 12, notes)
+            durations = rng.integers(1, N_DURATION_BINS + 1, notes).astype(np.float64)
+            hist = np.bincount(pitch_classes, weights=durations, minlength=12)
+            counts = tuple(int(x) for x in hist)
+            assert _cached_key_correlations(counts) == _key_correlations(hist)
+        assert _cached_key_correlations.cache_info().maxsize <= 1024
 
     def test_flat_or_empty_histogram_is_zero(self):
         assert _key_correlations(np.zeros(12)) == (0.0, 0.0)

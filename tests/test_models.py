@@ -77,11 +77,13 @@ class TestSampleIndex:
     )
     def test_cumulative_form_draws_the_same_index(self, weights):
         weights = np.array(weights)
+        cum = np.cumsum(weights)
         uniforms = [0.0, 0.19999, 0.2, 0.21, 0.5, 0.51, 0.9999999999999999]
         for u in uniforms:
-            assert sample_cumulative(ScriptedRNG([u]), np.cumsum(weights)) == sample_index(
-                ScriptedRNG([u]), weights
-            )
+            searched = min(int(cum.searchsorted(u * cum[-1], side="right")), cum.size - 1)
+            assert sample_index(ScriptedRNG([u]), weights) == searched
+            assert sample_cumulative(ScriptedRNG([u]), cum) == searched
+            assert sample_cumulative(ScriptedRNG([u]), cum.tolist()) == searched
 
     def test_unnormalized_weights_sample_proportionally(self):
         rng = np.random.default_rng(5)

@@ -365,3 +365,7 @@ class TestConfigValidation:
     def test_exploration_c_non_negative(self):
         with pytest.raises(ValueError):
             DecodeConfig(target=EmotionQuadrant.E1, exploration_c=-1.0)
+
+    def test_rollout_cap_non_negative(self):
+        with pytest.raises(ValueError):
+            DecodeConfig(target=EmotionQuadrant.E1, rollout_cap=-1)
