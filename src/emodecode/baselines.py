@@ -2,8 +2,9 @@
 conditional sampling, plus the unconditioned top-p sampler they are both
 measured against.
 
-All three share the stopping rules of the tree-search decoder (EndOfMusic,
-max_bars bar lines, max_tokens) and always return sequences that validate.
+All three share the tree-search decoder's stop rule (``puct.StopRule``:
+EndOfMusic, max_bars bar lines, max_tokens), count evaluator calls on their
+``DecodeTrace`` and always return sequences that validate.
 """
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ import numpy as np
 
 from .emotion import EmotionQuadrant
 from .errors import UntrainedCondition
-from .models.base import EmotionClassifier, EvaluatorBudget, Policy
-from .models.sampling import sample_cumulative, sample_index
-from .puct import DecodeTrace, _emit, _finalize
+from .models.base import EmotionClassifier, Policy
+from .models.ngram import with_emotion_prefix
+from .models.sampling import ranked_ids, sample_cumulative, sample_index
+from .puct import DecodeTrace, StopRule, _emit, _finalize
 
 _LOG_FLOOR = 1e-12
 
@@ -67,13 +69,13 @@ def top_p_decode(
                 "candidate_ids": ids,
                 "probs": probs,
                 "chosen_id": token,
-                "e_calls": 0,
-                "d_calls": 0,
+                "e_calls": trace.e_calls,
+                "d_calls": trace.d_calls,
             }
         )
         return token
 
-    return _emit(start, policy.vocab, cfg.max_bars, cfg.max_tokens, next_token), trace
+    return _emit(start, StopRule(policy.vocab, cfg.max_bars, cfg.max_tokens), next_token), trace
 
 
 def cs_decode(
@@ -89,12 +91,10 @@ def cs_decode(
     UntrainedCondition is raised when it never saw this quadrant's token.
     No emotion-model or discriminator calls are made.
     """
-    vocab = conditional_policy.vocab
-    control = vocab.emotion_id(target)
+    prefixed = with_emotion_prefix(start, target, conditional_policy.vocab)
     seen = getattr(conditional_policy, "seen", None)
-    if seen is not None and not seen(control):
+    if seen is not None and not seen(prefixed[1]):  # the control token
         raise UntrainedCondition(f"no training data for {target.name}")
-    prefixed = [start[0], control, *start[1:]]
     return top_p_decode(prefixed, conditional_policy, cfg, rng=rng, method="cs")
 
 
@@ -124,20 +124,17 @@ def sbbs_decode(
     value is reused for the steps inside the following bar.
     """
     vocab = policy.vocab
-    budget = EvaluatorBudget()
-    start_bars = sum(1 for t in start if t == vocab.bar_id)
-    beams = [_Beam(seq=list(start), logscore=0.0, bars=start_bars) for _ in range(cfg.beams)]
+    rule = StopRule(vocab, cfg.max_bars, cfg.max_tokens)
+    bars, done = rule.start(start)
+    beams = [_Beam(seq=list(start), logscore=0.0, bars=bars, done=done) for _ in range(cfg.beams)]
     trace = DecodeTrace(method="sbbs", start=list(start))
-    step = 0
     while not all(b.done for b in beams):
         live = [i for i, b in enumerate(beams) if not b.done]
         candidates: list[tuple[int, int, float]] = []  # parent index, token, logscore
         for i in live:
             beam = beams[i]
             dist = policy.next_distribution(beam.seq)
-            order = np.argsort(-dist, kind="stable")
-            order = order[dist[order] > 0.0][: cfg.top_k]
-            for tok in order:
+            for tok in ranked_ids(dist)[: cfg.top_k]:
                 logscore = beam.logscore + math.log(max(float(dist[tok]), _LOG_FLOOR)) + beam.log_e
                 candidates.append((i, int(tok), logscore))
 
@@ -155,40 +152,25 @@ def sbbs_decode(
         for idx in picked:
             parent, token, logscore = candidates[idx]
             beam = beams[parent]
-            child = _Beam(
-                seq=beam.seq + [token],
-                logscore=logscore,
-                log_e=beam.log_e,
-                bars=beam.bars,
-                done=False,
-            )
-            if token == vocab.end_id:
-                child.done = True
-            elif token == vocab.bar_id:
-                child.bars += 1
-                if child.bars >= 2:  # the first bar line closes no bar
-                    e_vec = classifier.distribution(child.seq, budget)
-                    child.log_e = math.log(max(float(e_vec[cfg.target.index]), _LOG_FLOOR))
-                if child.bars >= cfg.max_bars:
-                    child.done = True
-            if len(child.seq) >= cfg.max_tokens:
-                child.done = True
+            seq = beam.seq + [token]
+            bars, done = rule.after(seq, beam.bars)
+            child = _Beam(seq=seq, logscore=logscore, log_e=beam.log_e, bars=bars, done=done)
+            if token == vocab.bar_id and bars >= 2:  # the first bar line closes no bar
+                e_vec = classifier.distribution(seq, trace)
+                child.log_e = math.log(max(float(e_vec[cfg.target.index]), _LOG_FLOOR))
             survivors.append(child)
         beams = survivors
         trace.records.append(
             {
-                "step": step,
+                "step": len(trace.records),
                 "beams": [
                     {"parent": candidates[i][0], "token_id": candidates[i][1], "logscore": candidates[i][2]}
                     for i in picked
                 ],
-                "e_calls": budget.e_calls,
-                "d_calls": budget.d_calls,
+                "e_calls": trace.e_calls,
+                "d_calls": trace.d_calls,
             }
         )
-        step += 1
 
     best = max(beams, key=lambda b: b.logscore)
-    trace.e_calls = budget.e_calls
-    trace.d_calls = budget.d_calls
     return _finalize(list(best.seq), vocab), trace

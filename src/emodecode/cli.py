@@ -177,8 +177,8 @@ def _decode_one(method, start, policy, classifier, discriminator, cfg, target, r
     return top_p_decode(start, policy, _config(SamplingConfig, cfg), rng=rng)
 
 
-def _piece_metrics(seq, target, classifier, discriminator, eval_budget) -> dict:
-    metrics = piece_metrics(tokens_to_piece(VOCAB.decode(seq)))
+def _piece_metrics(seq, piece, target, classifier, discriminator, eval_budget) -> dict:
+    metrics = piece_metrics(piece)
     try:
         predicted = argmax_quadrant(classifier.distribution(seq, eval_budget))
         metrics["predicted_emotion"] = predicted.name
@@ -238,7 +238,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             search_budget["d_calls"] += trace.d_calls
             stem = f"{quadrant.name}_{index:03d}"
             tokens = VOCAB.decode(seq)
-            write_midi(tokens_to_piece(tokens), out / f"{stem}.mid")
+            piece = tokens_to_piece(tokens)
+            write_midi(piece, out / f"{stem}.mid")
             (out / f"{stem}.tokens.txt").write_text(tokens_to_text(tokens), encoding="utf-8")
             if args.traces:
                 trace_text = json.dumps(trace.to_dict(), sort_keys=True, indent=2)
@@ -251,7 +252,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
                     "token_ids": [int(t) for t in seq],
                     "midi": f"{stem}.mid",
                     "tokens": f"{stem}.tokens.txt",
-                    "metrics": _piece_metrics(seq, quadrant, classifier, discriminator, eval_budget),
+                    "metrics": _piece_metrics(
+                        seq, piece, quadrant, classifier, discriminator, eval_budget
+                    ),
                 }
             )
             log.info("generated %s (%d tokens)", stem, len(seq))

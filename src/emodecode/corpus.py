@@ -19,7 +19,7 @@ from .remi.tokens import VOCAB, Token, Vocabulary
 FORMAT_TAG = "remi-corpus-v1"
 
 
-def ingest_directory(directory: str | Path, vocab: Vocabulary = VOCAB) -> dict:
+def ingest_directory(directory: str | Path) -> dict:
     """Tokenize every .mid/.midi file under `directory` (non-recursive).
 
     Files with a non-4/4 time signature or unparseable bytes are skipped

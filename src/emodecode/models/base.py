@@ -7,7 +7,9 @@ exactly one, which is what the search budget accounting relies on.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +29,25 @@ class EvaluatorBudget:
 
     def snapshot(self) -> tuple[int, int]:
         return (self.e_calls, self.d_calls)
+
+
+def read_tagged(path: str | Path, tag: str, keys: Sequence[str]) -> dict:
+    """The JSON mapping saved in ``path`` under format ``tag``, holding ``keys``.
+
+    Raises ValueError naming the file for malformed JSON, a payload that
+    is not a mapping, a different format tag or a missing key.
+    """
+    text = Path(path).read_text()
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != tag:
+        raise ValueError(f"{path}: not in format {tag}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    return payload
 
 
 class Policy:

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import EmptyCorpus, NotFitted
 from ..remi.tokens import KIND_PAIR_LEGAL, N_DURATION_BINS, TokenKind, Vocabulary
 from ..remi.piece import bpm_of_bin, DEFAULT_BPM
-from .base import BarPrefixMixin, Discriminator, EmotionClassifier
+from .base import BarPrefixMixin, Discriminator, EmotionClassifier, read_tagged
 
 EMOTION_FORMAT_TAG = "emotion-heuristic-v1"
 DISCRIMINATOR_FORMAT_TAG = "discriminator-heuristic-v1"
@@ -198,9 +198,7 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
 
     @classmethod
     def load(cls, path: str | Path, vocab: Vocabulary) -> "HeuristicEmotionClassifier":
-        payload = json.loads(Path(path).read_text())
-        if payload.get("format") != EMOTION_FORMAT_TAG:
-            raise ValueError(f"not an {EMOTION_FORMAT_TAG} file: {path}")
+        payload = read_tagged(path, EMOTION_FORMAT_TAG, ("means", "stds"))
         model = cls(vocab)
         model.means_ = np.asarray(payload["means"], dtype=np.float64)
         model.stds_ = np.asarray(payload["stds"], dtype=np.float64)
@@ -262,9 +260,7 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
 
     @classmethod
     def load(cls, path: str | Path, vocab: Vocabulary) -> "HeuristicDiscriminator":
-        payload = json.loads(Path(path).read_text())
-        if payload.get("format") != DISCRIMINATOR_FORMAT_TAG:
-            raise ValueError(f"not a {DISCRIMINATOR_FORMAT_TAG} file: {path}")
+        payload = read_tagged(path, DISCRIMINATOR_FORMAT_TAG, ("duration_hist",))
         model = cls(vocab)
         model.duration_hist_ = np.asarray(payload["duration_hist"], dtype=np.float64)
         return model

@@ -11,7 +11,7 @@ import numpy as np
 from ..emotion import EmotionQuadrant
 from ..errors import EmptyCorpus, NotFitted
 from ..remi.tokens import Vocabulary
-from .base import Policy
+from .base import Policy, read_tagged
 
 FORMAT_TAG = "ngram-policy-v1"
 
@@ -119,9 +119,7 @@ class NGramPolicy(Policy):
 
     @classmethod
     def load(cls, path: str | Path, vocab: Vocabulary) -> "NGramPolicy":
-        payload = json.loads(Path(path).read_text())
-        if payload.get("format") != FORMAT_TAG:
-            raise ValueError(f"not a {FORMAT_TAG} file: {path}")
+        payload = read_tagged(path, FORMAT_TAG, ("order", "add_k", "vocab_size", "counts"))
         if payload["vocab_size"] != vocab.vocab_size:
             raise ValueError("model vocabulary size does not match")
         model = cls(vocab, order=payload["order"], add_k=payload["add_k"])

@@ -12,15 +12,20 @@ from typing import Sequence
 import numpy as np
 
 
+def ranked_ids(dist: np.ndarray) -> np.ndarray:
+    """Ids with nonzero mass, most probable first, ties toward the lower id."""
+    order = np.argsort(-dist, kind="stable")  # stable: equal probs keep lower id first
+    return order[dist[order] > 0.0]
+
+
 def top_p_filter(dist: np.ndarray, p: float) -> np.ndarray:
     """Smallest set of ids whose mass reaches ``p``, as ascending ids.
 
-    Candidates are taken in descending probability order with ties at the
-    cut broken toward the lower id.  Always returns at least one id; with
-    ``p >= 1`` every id with nonzero mass survives.
+    Candidates are taken in ``ranked_ids`` order, so ties at the cut break
+    toward the lower id.  Always returns at least one id; with ``p >= 1``
+    every id with nonzero mass survives.
     """
-    order = np.argsort(-dist, kind="stable")  # stable: equal probs keep lower id first
-    order = order[dist[order] > 0.0]
+    order = ranked_ids(dist)
     if order.size == 0:
         raise ValueError("distribution has no positive mass")
     cum = np.cumsum(dist[order])

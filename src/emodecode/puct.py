@@ -74,24 +74,16 @@ class RolloutResult:
     reward: float
 
 
-@dataclass
-class DecodeTrace:
-    """One record per emitted token, serializable for offline analysis."""
+@dataclass(kw_only=True)
+class DecodeTrace(EvaluatorBudget):
+    """One record per emitted token, and the evaluator calls of the decode."""
 
     method: str
     start: list[int]
     records: list[dict] = field(default_factory=list)
-    e_calls: int = 0
-    d_calls: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "start": list(self.start),
-            "records": self.records,
-            "e_calls": self.e_calls,
-            "d_calls": self.d_calls,
-        }
+        return dict(vars(self))  # the fields, shallow: records are shared
 
 
 def selection_scores(node: SearchNode, cfg: DecodeConfig) -> list[float]:
@@ -231,31 +223,35 @@ def _finalize(seq: list[int], vocab) -> list[int]:
     return seq
 
 
-def _emit(
-    start: Sequence[int],
-    vocab,
-    max_bars: int,
-    max_tokens: int,
-    next_token: Callable[[list[int]], int],
-) -> list[int]:
-    """Append ``next_token(seq)`` until a stop rule fires, then close.
+@dataclass(frozen=True)
+class StopRule:
+    """The decoders' one stop rule: EndOfMusic, ``max_bars`` bar lines (bar
+    lines already in the start count) or ``max_tokens`` ids."""
 
-    The decoders' shared stop rules: EndOfMusic, ``max_bars`` bar lines
-    (bars already in ``start`` count), or ``max_tokens``.  ``next_token``
-    reads the sequence so far and must not change it.
-    """
-    seq = list(start)
-    bars = seq.count(vocab.bar_id)
-    while len(seq) < max_tokens:
-        token = next_token(seq)
-        seq.append(token)
-        if token == vocab.end_id:
-            break
-        if token == vocab.bar_id:
+    vocab: object
+    max_bars: int
+    max_tokens: int
+
+    def start(self, seq: Sequence[int]) -> tuple[int, bool]:
+        """Bar lines in a start, and whether it is already at ``max_tokens``."""
+        return seq.count(self.vocab.bar_id), len(seq) >= self.max_tokens
+
+    def after(self, seq: Sequence[int], bars: int) -> tuple[int, bool]:
+        """Bar lines and the stop flag once ``seq[-1]`` joined ``bars`` bar lines."""
+        if seq[-1] == self.vocab.bar_id:
             bars += 1
-            if bars >= max_bars:
-                break
-    return _finalize(seq, vocab)
+            return bars, bars >= self.max_bars or len(seq) >= self.max_tokens
+        return bars, seq[-1] == self.vocab.end_id or len(seq) >= self.max_tokens
+
+
+def _emit(start: Sequence[int], rule: StopRule, next_token: Callable[[list[int]], int]) -> list[int]:
+    """Append ``next_token(seq)`` until ``rule`` stops, then close; ``seq`` is read-only to it."""
+    seq = list(start)
+    bars, done = rule.start(seq)
+    while not done:
+        seq.append(next_token(seq))
+        bars, done = rule.after(seq, bars)
+    return _finalize(seq, rule.vocab)
 
 
 def decode_piece(
@@ -274,14 +270,13 @@ def decode_piece(
     bar lines, or at ``max_tokens``; the sequence is then closed so it
     always validates.
     """
-    budget = EvaluatorBudget()
     trace = DecodeTrace(method="puct", start=list(start))
 
     def next_token(seq: list[int]) -> int:
         root = expand(seq, policy, cfg)
         ids, priors, _ = policy.nucleus(seq, cfg.top_p)  # shared with the root's edges
         for _ in range(cfg.budget):
-            search_step(root, seq, policy, classifier, discriminator, cfg, budget, rng)
+            search_step(root, seq, policy, classifier, discriminator, cfg, trace, rng)
         token, _ = choose_token(root, rng)
         trace.records.append(
             {
@@ -292,13 +287,11 @@ def decode_piece(
                 "q_values": tuple([e.q for e in root.edges]),
                 "root_visits": root.node_visits,
                 "chosen_id": token,
-                "e_calls": budget.e_calls,
-                "d_calls": budget.d_calls,
+                "e_calls": trace.e_calls,
+                "d_calls": trace.d_calls,
             }
         )
         return token
 
-    seq = _emit(start, policy.vocab, cfg.max_bars, cfg.max_tokens, next_token)
-    trace.e_calls = budget.e_calls
-    trace.d_calls = budget.d_calls
-    return seq, trace
+    rule = StopRule(policy.vocab, cfg.max_bars, cfg.max_tokens)
+    return _emit(start, rule, next_token), trace

@@ -282,6 +282,23 @@ class TestGenerateCommand:
     def test_missing_models_dir_is_data_error(self, tmp_path):
         assert generate(tmp_path / "nowhere", tmp_path / "out") == 2
 
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("classifier.json", []),
+            ("policy.json", {"format": "ngram-policy-v1"}),
+        ],
+    )
+    def test_malformed_model_file_is_data_error(self, workspace, tmp_path, capsys, name, payload):
+        _, _, models = workspace
+        broken = tmp_path / "models"
+        shutil.copytree(models, broken)
+        (broken / name).write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert generate(broken, out) == 2
+        assert str(broken / name) in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_bad_emotion_name_is_data_error(self, workspace, tmp_path):
         _, _, models = workspace
         assert generate(models, tmp_path / "out", "--emotion", "e5") == 2

@@ -14,7 +14,7 @@ from emodecode.metrics import (
 )
 from emodecode.models.base import BarPrefixMixin, EvaluatorBudget
 from emodecode.models.fixtures import TableDiscriminator, TableEmotionClassifier
-from emodecode.remi.piece import NoteEvent, Piece
+from emodecode.remi.piece import NoteEvent, Piece, tokens_to_piece
 from emodecode.remi.tokens import VOCAB, Token
 
 from reference import brute_force_polyphony
@@ -117,6 +117,11 @@ class WholeBarDiscriminator(BarPrefixMixin, TableDiscriminator):
     vocab = VOCAB
 
 
+def scored(seq, target, clf, disc, budget) -> dict:
+    """``_piece_metrics`` of ``seq`` and the piece it decodes to."""
+    return _piece_metrics(seq, tokens_to_piece(VOCAB.decode(seq)), target, clf, disc, budget)
+
+
 class TestPieceMetrics:
     """Per-piece values and flags; the manifest's rates are means of the flags."""
 
@@ -131,7 +136,7 @@ class TestPieceMetrics:
         budget = EvaluatorBudget()
         for realness, flag in ((0.5, 0), (0.9, 1)):
             disc = TableDiscriminator({tuple(seq): realness})
-            row = _piece_metrics(seq, EmotionQuadrant.E1, clf, disc, budget)
+            row = scored(seq, EmotionQuadrant.E1, clf, disc, budget)
             assert (row["realness"], row["real_ok"]) == (realness, flag)
         assert budget.snapshot() == (2, 2)
 
@@ -139,8 +144,8 @@ class TestPieceMetrics:
         seq = ids(ONE_NOTE)
         clf = TableEmotionClassifier({tuple(seq): (0.1, 0.7, 0.1, 0.1)})
         disc = TableDiscriminator({}, default=0.5)
-        hit = _piece_metrics(seq, EmotionQuadrant.E2, clf, disc, EvaluatorBudget())
-        miss = _piece_metrics(seq, EmotionQuadrant.E1, clf, disc, EvaluatorBudget())
+        hit = scored(seq, EmotionQuadrant.E2, clf, disc, EvaluatorBudget())
+        miss = scored(seq, EmotionQuadrant.E1, clf, disc, EvaluatorBudget())
         assert (hit["predicted_emotion"], hit["emotion_ok"]) == ("E2", 1)
         assert (miss["predicted_emotion"], miss["emotion_ok"]) == ("E2", 0)
         assert (hit["pitch_range"], hit["n_pitch_classes"], hit["polyphony"]) == (0.0, 1, 1.0)
@@ -150,7 +155,7 @@ class TestPieceMetrics:
         clf = WholeBarClassifier({}, default=(0.7, 0.1, 0.1, 0.1))
         disc = WholeBarDiscriminator({}, default=0.9)
         budget = EvaluatorBudget()
-        row = _piece_metrics(seq, EmotionQuadrant.E1, clf, disc, budget)
+        row = scored(seq, EmotionQuadrant.E1, clf, disc, budget)
         assert (row["predicted_emotion"], row["emotion_ok"]) == (None, 0)
         assert (row["realness"], row["real_ok"]) == (None, 0)
         assert budget.snapshot() == (0, 0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from emodecode.baselines import SamplingConfig, top_p_decode
+from emodecode.baselines import SamplingConfig, SBBSConfig, sbbs_decode, top_p_decode
 from emodecode.emotion import EmotionQuadrant
 from emodecode.errors import TerminalNode
 from emodecode.models.base import EvaluatorBudget
@@ -251,7 +251,7 @@ def _bar_loop_instance():
 
 
 def _bar_loop_decode(decoder, start, *, seed, budget, max_bars, max_tokens=1024):
-    """Decode on the bar-loop instance with ``decode_piece`` or ``top_p_decode``."""
+    """Decode on the bar-loop instance with one of the three stop-rule decoders."""
     vocab, policy, classifier, discriminator = _bar_loop_instance()
     rng = np.random.default_rng(seed)
     if decoder == "decode_piece":
@@ -260,14 +260,19 @@ def _bar_loop_decode(decoder, start, *, seed, budget, max_bars, max_tokens=1024)
             max_bars=max_bars, max_tokens=max_tokens,
         )
         seq, trace = decode_piece(start, policy, classifier, discriminator, cfg, rng=rng)
+    elif decoder == "sbbs_decode":
+        cfg = SBBSConfig(target=EmotionQuadrant.E2, max_bars=max_bars, max_tokens=max_tokens)
+        seq, trace = sbbs_decode(start, policy, classifier, cfg, rng=rng)
     else:
         cfg = SamplingConfig(top_p=1.0, max_bars=max_bars, max_tokens=max_tokens)
         seq, trace = top_p_decode(start, policy, cfg, rng=rng)
     return vocab, seq, trace
 
 
-# both decoders share the stop-and-close loop
-STOP_RULE_DECODERS = pytest.mark.parametrize("decoder", ["decode_piece", "top_p_decode"])
+# the decoders share one stop rule
+STOP_RULE_DECODERS = pytest.mark.parametrize(
+    "decoder", ["decode_piece", "top_p_decode", "sbbs_decode"]
+)
 
 
 class TestDecodePiece:
