@@ -55,10 +55,9 @@ def top_p_decode(
     policy: Policy,
     cfg: SamplingConfig,
     rng,
-    method: str = "topp",
 ) -> tuple[list[int], DecodeTrace]:
     """Plain autoregressive nucleus sampling; no evaluator in the loop."""
-    trace = DecodeTrace(method=method, start=list(start))
+    trace = DecodeTrace(method="topp", start=list(start))
 
     def next_token(seq: list[int]) -> int:
         ids, probs, cum = policy.nucleus(seq, cfg.top_p)
@@ -95,7 +94,9 @@ def cs_decode(
     seen = getattr(conditional_policy, "seen", None)
     if seen is not None and not seen(prefixed[1]):  # the control token
         raise UntrainedCondition(f"no training data for {target.name}")
-    return top_p_decode(prefixed, conditional_policy, cfg, rng=rng, method="cs")
+    seq, trace = top_p_decode(prefixed, conditional_policy, cfg, rng=rng)
+    trace.method = "cs"
+    return seq, trace
 
 
 @dataclass

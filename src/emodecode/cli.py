@@ -41,10 +41,10 @@ from .errors import (
     UntrainedCondition,
 )
 from .manifest import build_manifest, dump_manifest, load_manifest
-from .metrics import compare_table, piece_metrics
+from .metrics import COLUMNS, compare_table, piece_metrics
 from .models.base import EvaluatorBudget
 from .models.heuristic import HeuristicDiscriminator, HeuristicEmotionClassifier
-from .models.ngram import NGramPolicy, train_ngram, with_emotion_prefix
+from .models.ngram import NGramPolicy, with_emotion_prefix
 from .puct import DecodeConfig, decode_piece
 from .remi.midi import read_midi, write_midi
 from .remi.piece import tokens_to_piece
@@ -145,14 +145,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     sequences = corpus_sequences(corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_ngram(VOCAB, sequences, order=args.order, add_k=args.add_k).save(out / "policy.json")
+    NGramPolicy(VOCAB, order=args.order, add_k=args.add_k).fit(sequences).save(out / "policy.json")
     HeuristicEmotionClassifier(VOCAB).fit(sequences).save(out / "classifier.json")
     HeuristicDiscriminator(VOCAB).fit(sequences).save(out / "discriminator.json")
     written = ["policy.json", "classifier.json", "discriminator.json"]
     if args.labels:
         pairs = labeled_sequences(corpus, load_labels(args.labels))
         prefixed = [with_emotion_prefix(seq, quadrant, VOCAB) for seq, quadrant in pairs]
-        train_ngram(VOCAB, prefixed, order=args.order, add_k=args.add_k).save(
+        NGramPolicy(VOCAB, order=args.order, add_k=args.add_k).fit(prefixed).save(
             out / "conditional.json"
         )
         written.append("conditional.json")
@@ -200,16 +200,10 @@ def _aggregate(records: list[dict]) -> dict:
     by_emotion: dict[str, list[dict]] = {}
     for record in records:
         by_emotion.setdefault(record["emotion"], []).append(record["metrics"])
-    out = {}
-    for emotion, rows in by_emotion.items():
-        out[emotion] = {
-            "pitch_range": float(np.mean([r["pitch_range"] for r in rows])),
-            "n_pitch_classes": float(np.mean([r["n_pitch_classes"] for r in rows])),
-            "polyphony": float(np.mean([r["polyphony"] for r in rows])),
-            "emotion_rate": float(np.mean([r["emotion_ok"] for r in rows])),
-            "discriminator_rate": float(np.mean([r["real_ok"] for r in rows])),
-        }
-    return out
+    return {
+        emotion: {key: float(np.mean([r[piece_key] for r in rows])) for key, _, piece_key in COLUMNS}
+        for emotion, rows in by_emotion.items()
+    }
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -284,16 +278,7 @@ def _recomputed_aggregates(manifest: dict) -> dict:
                 raise ManifestSchemaError(
                     f"piece {i} {key} is {value}, manifest records {entry['metrics'][key]}"
                 )
-        checked.append(
-            {
-                "emotion": entry["emotion"],
-                "metrics": {
-                    **recomputed,
-                    "emotion_ok": entry["metrics"]["emotion_ok"],
-                    "real_ok": entry["metrics"]["real_ok"],
-                },
-            }
-        )
+        checked.append({"emotion": entry["emotion"], "metrics": {**entry["metrics"], **recomputed}})
     return _aggregate(checked)
 
 

@@ -15,14 +15,6 @@ class EmotionQuadrant(IntEnum):
     E4 = 4  # +valence, -arousal
 
     @property
-    def valence_sign(self) -> int:
-        return 1 if self in (EmotionQuadrant.E1, EmotionQuadrant.E4) else -1
-
-    @property
-    def arousal_sign(self) -> int:
-        return 1 if self in (EmotionQuadrant.E1, EmotionQuadrant.E2) else -1
-
-    @property
     def index(self) -> int:
         """Zero-based position inside a distribution vector."""
         return self.value - 1

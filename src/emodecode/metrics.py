@@ -56,14 +56,14 @@ def piece_metrics(piece: Piece) -> dict[str, float]:
     }
 
 
-_METRIC_KEYS = ("pitch_range", "n_pitch_classes", "polyphony", "emotion_rate", "discriminator_rate")
-_METRIC_LABELS = {
-    "pitch_range": "PR",
-    "n_pitch_classes": "NPC",
-    "polyphony": "POLY",
-    "emotion_rate": "E",
-    "discriminator_rate": "D",
-}
+# the report's columns: aggregate key, table label, the per-piece metric it averages
+COLUMNS = (
+    ("pitch_range", "PR", "pitch_range"),
+    ("n_pitch_classes", "NPC", "n_pitch_classes"),
+    ("polyphony", "POLY", "polyphony"),
+    ("emotion_rate", "E", "emotion_ok"),
+    ("discriminator_rate", "D", "real_ok"),
+)
 
 
 def _check_aggregates(manifest: dict, require_all_emotions: bool) -> dict[str, dict[str, float]]:
@@ -76,7 +76,7 @@ def _check_aggregates(manifest: dict, require_all_emotions: bool) -> dict[str, d
     for emotion, row in aggregates.items():
         if emotion not in names:
             raise ManifestSchemaError(f"unknown emotion key {emotion!r}")
-        missing = [k for k in _METRIC_KEYS if k not in row]
+        missing = [key for key, _, _ in COLUMNS if key not in row]
         if missing:
             raise ManifestSchemaError(f"{emotion} aggregates missing {missing}")
     absent = sorted(names - aggregates.keys())
@@ -107,12 +107,12 @@ def compare_table(manifests: dict[str, dict], require_all_emotions: bool = True)
     header = ["method", "metric", *emotions]
     rows: list[list[str]] = []
     for label, aggregates in per_method.items():
-        for key in _METRIC_KEYS:
+        for key, metric_label, _ in COLUMNS:
             cells = [
                 _format_cell(key, float(aggregates[e][key])) if e in aggregates else "-"
                 for e in emotions
             ]
-            rows.append([label, _METRIC_LABELS[key], *cells])
+            rows.append([label, metric_label, *cells])
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip(),

@@ -27,9 +27,6 @@ class EvaluatorBudget:
     e_calls: int = 0
     d_calls: int = 0
 
-    def snapshot(self) -> tuple[int, int]:
-        return (self.e_calls, self.d_calls)
-
 
 def read_tagged(path: str | Path, tag: str, keys: Sequence[str]) -> dict:
     """The JSON mapping saved in ``path`` under format ``tag``, holding ``keys``.
@@ -48,6 +45,17 @@ def read_tagged(path: str | Path, tag: str, keys: Sequence[str]) -> dict:
     if missing:
         raise ValueError(f"{path}: missing {', '.join(missing)}")
     return payload
+
+
+def float_vector(path: str | Path, payload: dict, key: str, size: int) -> np.ndarray:
+    """``payload[key]`` as ``size`` finite float64s; ValueError naming ``path`` otherwise."""
+    try:
+        vec = np.asarray(payload[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (size,) or not np.isfinite(vec).all():
+        raise ValueError(f"{path}: {key} must be {size} finite numbers")
+    return vec
 
 
 class Policy:

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import EmptyCorpus, NotFitted
 from ..remi.tokens import KIND_PAIR_LEGAL, N_DURATION_BINS, TokenKind, Vocabulary
 from ..remi.piece import bpm_of_bin, DEFAULT_BPM
-from .base import BarPrefixMixin, Discriminator, EmotionClassifier, read_tagged
+from .base import BarPrefixMixin, Discriminator, EmotionClassifier, float_vector, read_tagged
 
 EMOTION_FORMAT_TAG = "emotion-heuristic-v1"
 DISCRIMINATOR_FORMAT_TAG = "discriminator-heuristic-v1"
@@ -200,8 +200,8 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
     def load(cls, path: str | Path, vocab: Vocabulary) -> "HeuristicEmotionClassifier":
         payload = read_tagged(path, EMOTION_FORMAT_TAG, ("means", "stds"))
         model = cls(vocab)
-        model.means_ = np.asarray(payload["means"], dtype=np.float64)
-        model.stds_ = np.asarray(payload["stds"], dtype=np.float64)
+        model.means_ = float_vector(path, payload, "means", 3)
+        model.stds_ = float_vector(path, payload, "stds", 3)
         return model
 
 
@@ -262,5 +262,5 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
     def load(cls, path: str | Path, vocab: Vocabulary) -> "HeuristicDiscriminator":
         payload = read_tagged(path, DISCRIMINATOR_FORMAT_TAG, ("duration_hist",))
         model = cls(vocab)
-        model.duration_hist_ = np.asarray(payload["duration_hist"], dtype=np.float64)
+        model.duration_hist_ = float_vector(path, payload, "duration_hist", N_DURATION_BINS)
         return model

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -120,28 +119,24 @@ class NGramPolicy(Policy):
     @classmethod
     def load(cls, path: str | Path, vocab: Vocabulary) -> "NGramPolicy":
         payload = read_tagged(path, FORMAT_TAG, ("order", "add_k", "vocab_size", "counts"))
-        if payload["vocab_size"] != vocab.vocab_size:
-            raise ValueError("model vocabulary size does not match")
-        model = cls(vocab, order=payload["order"], add_k=payload["add_k"])
-        model.counts_ = {
-            int(o): {
-                tuple(int(t) for t in ctx.split(",") if ctx): {
-                    int(t): int(n) for t, n in row.items()
+        try:  # a value of the wrong type fails inside the conversion itself
+            if payload["vocab_size"] != vocab.vocab_size:
+                raise ValueError(f"vocabulary size {payload['vocab_size']!r} is not {vocab.vocab_size}")
+            model = cls(vocab, order=payload["order"], add_k=payload["add_k"])
+            model.counts_ = {
+                int(o): {
+                    tuple(int(t) for t in ctx.split(",") if ctx): {
+                        int(t): int(n) for t, n in row.items()
+                    }
+                    for ctx, row in table.items()
                 }
-                for ctx, row in table.items()
+                for o, table in payload["counts"].items()
             }
-            for o, table in payload["counts"].items()
-        }
+            if sorted(model.counts_) != list(range(1, model.order + 1)):
+                raise ValueError(f"counts must hold orders 1 to {model.order}")
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed model ({exc})") from None
         return model
-
-
-def train_ngram(
-    vocab: Vocabulary,
-    sequences: Iterable[Sequence[int]],
-    order: int = 3,
-    add_k: float = 0.01,
-) -> NGramPolicy:
-    return NGramPolicy(vocab, order=order, add_k=add_k).fit(sequences)
 
 
 def with_emotion_prefix(seq: Sequence[int], quadrant: EmotionQuadrant, vocab: Vocabulary) -> list[int]:
@@ -149,16 +144,3 @@ def with_emotion_prefix(seq: Sequence[int], quadrant: EmotionQuadrant, vocab: Vo
     ids = list(seq)
     return [ids[0], vocab.emotion_id(quadrant)] + ids[1:]
 
-
-def perplexity(policy: Policy, sequences: Iterable[Sequence[int]]) -> float:
-    """Per-token perplexity of held-out sequences under the policy."""
-    log_sum = 0.0
-    n = 0
-    for seq in sequences:
-        for i in range(1, len(seq)):
-            p = float(policy.next_distribution(seq[:i])[int(seq[i])])
-            log_sum += math.log2(max(p, 1e-300))
-            n += 1
-    if n == 0:
-        raise ValueError("no transitions to score")
-    return 2.0 ** (-log_sum / n)

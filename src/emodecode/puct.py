@@ -232,9 +232,16 @@ class StopRule:
     max_bars: int
     max_tokens: int
 
+    def __post_init__(self):
+        if self.max_bars < 1:
+            raise ValueError("max_bars must be at least 1")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be at least 1")
+
     def start(self, seq: Sequence[int]) -> tuple[int, bool]:
-        """Bar lines in a start, and whether it is already at ``max_tokens``."""
-        return seq.count(self.vocab.bar_id), len(seq) >= self.max_tokens
+        """Bar lines in a start, and whether it is already at a limit."""
+        bars = seq.count(self.vocab.bar_id)
+        return bars, bars >= self.max_bars or len(seq) >= self.max_tokens
 
     def after(self, seq: Sequence[int], bars: int) -> tuple[int, bool]:
         """Bar lines and the stop flag once ``seq[-1]`` joined ``bars`` bar lines."""

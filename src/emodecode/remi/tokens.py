@@ -205,9 +205,6 @@ class Vocabulary:
     def vocab_size(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: Token) -> int:
-        return self._ids[token]
-
     def encode(self, seq: Iterable[Token]) -> list[int]:
         return [self._ids[t] for t in seq]
 

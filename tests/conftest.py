@@ -20,7 +20,7 @@ import pytest
 
 from emodecode.emotion import ALL_QUADRANTS, EmotionQuadrant
 from emodecode.models.heuristic import HeuristicDiscriminator, HeuristicEmotionClassifier
-from emodecode.models.ngram import NGramPolicy, train_ngram, with_emotion_prefix
+from emodecode.models.ngram import NGramPolicy, with_emotion_prefix
 from emodecode.remi.midi import write_midi
 from emodecode.remi.piece import tokens_to_piece
 from emodecode.remi.tokens import VOCAB, Token
@@ -89,7 +89,7 @@ def steering_corpus() -> list[tuple[list[int], EmotionQuadrant]]:
 def steering_models(steering_corpus):
     """(policy, classifier, discriminator) fitted on the steering corpus."""
     sequences = [seq for seq, _ in steering_corpus]
-    policy = train_ngram(VOCAB, sequences, order=3, add_k=0.01)
+    policy = NGramPolicy(VOCAB, order=3, add_k=0.01).fit(sequences)
     classifier = HeuristicEmotionClassifier(VOCAB).fit(sequences)
     discriminator = HeuristicDiscriminator(VOCAB).fit(sequences)
     return policy, classifier, discriminator
@@ -146,7 +146,7 @@ def cs_labeled_corpus() -> list[tuple[list[int], EmotionQuadrant]]:
 @pytest.fixture(scope="session")
 def cs_conditional(cs_labeled_corpus) -> NGramPolicy:
     prefixed = [with_emotion_prefix(seq, quadrant, VOCAB) for seq, quadrant in cs_labeled_corpus]
-    return train_ngram(VOCAB, prefixed, order=3, add_k=0.01)
+    return NGramPolicy(VOCAB, order=3, add_k=0.01).fit(prefixed)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,14 @@
-"""Deterministic table-driven models for tests and worked examples."""
+"""Test doubles: deterministic table-driven models, and held-out perplexity."""
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import math
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import GrammarError
-from ..remi.tokens import Vocabulary
-from .base import Discriminator, EmotionClassifier, Policy
+from emodecode.errors import GrammarError
+from emodecode.models.base import Discriminator, EmotionClassifier, Policy
+from emodecode.remi.tokens import Vocabulary
 
 
 class UniformPolicy(Policy):
@@ -86,3 +87,17 @@ class TableDiscriminator(Discriminator):
                 raise KeyError(f"no discriminator entry for sequence {seq!r}")
             return self.default
         return hit
+
+
+def perplexity(policy: Policy, sequences: Iterable[Sequence[int]]) -> float:
+    """Per-token perplexity of held-out sequences under the policy."""
+    log_sum = 0.0
+    n = 0
+    for seq in sequences:
+        for i in range(1, len(seq)):
+            p = float(policy.next_distribution(seq[:i])[int(seq[i])])
+            log_sum += math.log2(max(p, 1e-300))
+            n += 1
+    if n == 0:
+        raise ValueError("no transitions to score")
+    return 2.0 ** (-log_sum / n)

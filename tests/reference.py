@@ -350,7 +350,7 @@ def scripted_stream(length: int, seed: int) -> list[float]:
 
 def _pair_instance(name: str, budget: int, e_by_leaf, d_by_leaf, priors) -> BundledInstance:
     """S -> {A, B} -> END with tabulated leaf scores."""
-    from emodecode.models.fixtures import TablePolicy
+    from doubles import TablePolicy
 
     vocab = TinyVocab({0: [1, 2], 1: [3], 2: [3]}, start_id=0, end_id=3)
     policy = TablePolicy(
@@ -372,7 +372,7 @@ def _pair_instance(name: str, budget: int, e_by_leaf, d_by_leaf, priors) -> Bund
 
 def bundled_instances() -> list[BundledInstance]:
     """The fixed battery both search implementations must agree on."""
-    from emodecode.models.fixtures import TablePolicy
+    from doubles import TablePolicy
 
     out = []
     e_mild = ((0.7, 0.1, 0.1, 0.1), (0.1, 0.7, 0.1, 0.1))   # rewards 0.56 / -0.18
@@ -470,7 +470,7 @@ def bundled_instances() -> list[BundledInstance]:
 
 def avg019_instance() -> TinyInstance:
     """Forced first move, then two equiprobable leaves worth 0.56 and -0.18."""
-    from emodecode.models.fixtures import TablePolicy
+    from doubles import TablePolicy
 
     vocab = TinyVocab({0: [1], 1: [2, 3], 2: [4], 3: [4]}, start_id=0, end_id=4)
     policy = TablePolicy(

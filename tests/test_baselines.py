@@ -14,11 +14,11 @@ from emodecode.baselines import (
 from emodecode.emotion import EmotionQuadrant
 from emodecode.errors import UntrainedCondition
 from emodecode.models.base import EvaluatorBudget
-from emodecode.models.fixtures import TablePolicy
-from emodecode.models.ngram import train_ngram, with_emotion_prefix
+from emodecode.models.ngram import NGramPolicy, with_emotion_prefix
 from emodecode.puct import _finalize
 from emodecode.remi.tokens import VOCAB, TokenKind
 
+from doubles import TablePolicy
 from reference import MinLenClassifier, TinyVocab
 
 CHI2_99_DF3 = 11.345  # 1% critical value, 3 degrees of freedom
@@ -111,8 +111,7 @@ class TestConditionalSampling:
         assert slow > 90
 
     def test_unseen_quadrant_raises(self, cs_labeled_corpus):
-        partial = train_ngram(
-            VOCAB,
+        partial = NGramPolicy(VOCAB).fit(
             [
                 with_emotion_prefix(seq, quadrant, VOCAB)
                 for seq, quadrant in cs_labeled_corpus

@@ -31,6 +31,9 @@ from emodecode.remi.tokens import VOCAB
 
 GOOD_SOURCES = [f"e{q}_{v}.mid" for q in range(1, 5) for v in range(2)]
 
+# the tag and hyperparameters of a well-formed policy.json
+NGRAM_HEAD = {"format": "ngram-policy-v1", "order": 3, "add_k": 0.01}
+
 
 @pytest.fixture(scope="module")
 def corpus(midi_dir):
@@ -287,6 +290,13 @@ class TestGenerateCommand:
         [
             ("classifier.json", []),
             ("policy.json", {"format": "ngram-policy-v1"}),
+            ("policy.json", NGRAM_HEAD | {"vocab_size": VOCAB.vocab_size, "counts": []}),
+            ("policy.json", NGRAM_HEAD | {"vocab_size": 11, "counts": {}}),
+            ("policy.json", NGRAM_HEAD | {"vocab_size": VOCAB.vocab_size, "counts": {"1": {}}}),
+            ("classifier.json", {"format": "emotion-heuristic-v1", "means": [0, 0], "stds": [1, 1, 1]}),
+            ("classifier.json", {"format": "emotion-heuristic-v1", "means": [0, 0, 0], "stds": "x"}),
+            ("discriminator.json", {"format": "discriminator-heuristic-v1", "duration_hist": [1.0] * 3}),
+            ("discriminator.json", {"format": "discriminator-heuristic-v1", "duration_hist": None}),
         ],
     )
     def test_malformed_model_file_is_data_error(self, workspace, tmp_path, capsys, name, payload):
@@ -310,6 +320,9 @@ class TestGenerateCommand:
             ("cs", "--top-p", "1.5"),
             ("puct", "--top-p", "0"),
             ("puct", "--rollout-cap", "-1"),
+            ("puct", "--max-bars", "0"),
+            ("sbbs", "--max-bars", "0"),
+            ("topp", "--max-tokens", "0"),
         ],
     )
     def test_out_of_range_decoder_setting_is_data_error(

@@ -13,10 +13,10 @@ from emodecode.metrics import (
     polyphony,
 )
 from emodecode.models.base import BarPrefixMixin, EvaluatorBudget
-from emodecode.models.fixtures import TableDiscriminator, TableEmotionClassifier
 from emodecode.remi.piece import NoteEvent, Piece, tokens_to_piece
 from emodecode.remi.tokens import VOCAB, Token
 
+from doubles import TableDiscriminator, TableEmotionClassifier
 from reference import brute_force_polyphony
 
 
@@ -138,7 +138,7 @@ class TestPieceMetrics:
             disc = TableDiscriminator({tuple(seq): realness})
             row = scored(seq, EmotionQuadrant.E1, clf, disc, budget)
             assert (row["realness"], row["real_ok"]) == (realness, flag)
-        assert budget.snapshot() == (2, 2)
+        assert (budget.e_calls, budget.d_calls) == (2, 2)
 
     def test_argmax_hit_sets_the_emotion_flag(self):
         seq = ids(ONE_NOTE)
@@ -158,7 +158,7 @@ class TestPieceMetrics:
         row = scored(seq, EmotionQuadrant.E1, clf, disc, budget)
         assert (row["predicted_emotion"], row["emotion_ok"]) == (None, 0)
         assert (row["realness"], row["real_ok"]) == (None, 0)
-        assert budget.snapshot() == (0, 0)
+        assert (budget.e_calls, budget.d_calls) == (0, 0)
 
 
 def manifest_with(aggregates: dict) -> dict:

@@ -1,18 +1,18 @@
-"""Policy/evaluator interfaces, nucleus filtering, and the table fixtures."""
+"""Policy/evaluator interfaces, nucleus filtering, and the table-driven test doubles."""
 import numpy as np
 import pytest
 
 from emodecode.errors import GrammarError, SequenceTooShort
 from emodecode.models.base import EvaluatorBudget
-from emodecode.models.fixtures import (
+from emodecode.models.sampling import sample_cumulative, sample_index, top_p_filter
+from emodecode.remi.tokens import VOCAB, Token
+
+from doubles import (
     TableDiscriminator,
     TableEmotionClassifier,
     TablePolicy,
     UniformPolicy,
 )
-from emodecode.models.sampling import sample_cumulative, sample_index, top_p_filter
-from emodecode.remi.tokens import VOCAB, Token
-
 from reference import ScriptedRNG, naive_top_p
 
 
@@ -96,7 +96,7 @@ class TestPolicyNext:
     def test_uniform_policy_after_pitch(self):
         policy = UniformPolicy(VOCAB)
         dist = policy.next_distribution(ids("START:0 BAR:0 POSITION:1 PITCH:60"))
-        durations = VOCAB.successors(VOCAB.id_of(Token.pitch(60)))
+        durations = VOCAB.successors(VOCAB.encode([Token.pitch(60)])[0])
         assert np.allclose(dist[durations], 1.0 / 32)
         assert dist.sum() == pytest.approx(1.0)
         mask = np.ones(len(dist), dtype=bool)
@@ -148,14 +148,14 @@ class TestEvaluators:
         budget = EvaluatorBudget()
         out = clf.distribution(seq, budget)
         assert np.array_equal(out, [0.7, 0.1, 0.1, 0.1])
-        assert budget.snapshot() == (1, 0)
+        assert (budget.e_calls, budget.d_calls) == (1, 0)
 
     def test_table_discriminator_counts(self):
         seq = ids(COMPLETE)
         disc = TableDiscriminator({tuple(seq): 0.8})
         budget = EvaluatorBudget()
         assert disc.realness(seq, budget) == 0.8
-        assert budget.snapshot() == (0, 1)
+        assert (budget.e_calls, budget.d_calls) == (0, 1)
 
     def test_invalid_distribution_rejected(self):
         seq = ids(COMPLETE)
@@ -175,7 +175,7 @@ class TestEvaluators:
         budget = EvaluatorBudget()
         with pytest.raises(KeyError):
             clf.distribution(seq, budget)
-        assert budget.snapshot() == (0, 0)
+        assert (budget.e_calls, budget.d_calls) == (0, 0)
 
     def test_defaults_cover_unknown_sequences(self):
         seq = ids(COMPLETE)

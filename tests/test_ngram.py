@@ -5,17 +5,12 @@ import numpy as np
 import pytest
 
 from emodecode.errors import EmptyCorpus, NotFitted
-from emodecode.models.fixtures import UniformPolicy
-from emodecode.models.ngram import (
-    NGramPolicy,
-    perplexity,
-    train_ngram,
-    with_emotion_prefix,
-)
+from emodecode.models.ngram import NGramPolicy, with_emotion_prefix
 from emodecode.models.sampling import top_p_filter
 from emodecode.emotion import EmotionQuadrant
 from emodecode.remi.tokens import VOCAB, Token
 
+from doubles import UniformPolicy, perplexity
 from reference import naive_ngram_distribution
 
 # every length-2 context occurs exactly once, so greedy decoding replays it
@@ -57,14 +52,14 @@ class TestAgainstRecountOracle:
 
 class TestSmoothing:
     def test_memorizes_a_repeated_sequence(self):
-        policy = train_ngram(VOCAB, [MEMO_SEQ] * 5, order=3, add_k=0.01)
+        policy = NGramPolicy(VOCAB, order=3, add_k=0.01).fit([MEMO_SEQ] * 5)
         out = [MEMO_SEQ[0]]
         while out[-1] != VOCAB.end_id and len(out) < 50:
             out.append(int(np.argmax(policy.next_distribution(out))))
         assert out == MEMO_SEQ
 
     def test_huge_add_k_approaches_uniform(self):
-        policy = train_ngram(VOCAB, [MEMO_SEQ], order=3, add_k=1e9)
+        policy = NGramPolicy(VOCAB, order=3, add_k=1e9).fit([MEMO_SEQ])
         dist = policy.next_distribution(MEMO_SEQ[:5])
         legal = VOCAB.successors(MEMO_SEQ[4])
         uniform = np.zeros(VOCAB.vocab_size)
@@ -74,7 +69,7 @@ class TestSmoothing:
     def test_held_out_perplexity_beats_uniform(self, steering_corpus):
         train = [seq for i, (seq, _) in enumerate(steering_corpus) if i % 12 < 9]
         held = [seq for i, (seq, _) in enumerate(steering_corpus) if i % 12 >= 9]
-        policy = train_ngram(VOCAB, train, order=3, add_k=0.01)
+        policy = NGramPolicy(VOCAB, order=3, add_k=0.01).fit(train)
         ppl = perplexity(policy, held)
         assert np.isfinite(ppl)
         assert ppl < perplexity(UniformPolicy(VOCAB), held)
@@ -100,8 +95,8 @@ class TestPersistence:
     def test_save_bytes_deterministic(self, steering_corpus, tmp_path):
         corpus = [seq for seq, _ in steering_corpus]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        train_ngram(VOCAB, corpus).save(a)
-        train_ngram(VOCAB, list(reversed(corpus))).save(b)
+        NGramPolicy(VOCAB).fit(corpus).save(a)
+        NGramPolicy(VOCAB).fit(list(reversed(corpus))).save(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_load_rejects_wrong_format_and_vocab(self, steering_models, tmp_path):
@@ -130,12 +125,12 @@ class TestControlTokens:
 
     def test_seen_reflects_training_targets(self, steering_corpus):
         corpus = [seq for seq, _ in steering_corpus]
-        plain = train_ngram(VOCAB, corpus)
+        plain = NGramPolicy(VOCAB).fit(corpus)
         control = VOCAB.emotion_id(EmotionQuadrant.E1)
         assert plain.seen(VOCAB.bar_id)
         assert not plain.seen(control)
-        conditional = train_ngram(
-            VOCAB, [with_emotion_prefix(s, EmotionQuadrant.E1, VOCAB) for s in corpus]
+        conditional = NGramPolicy(VOCAB).fit(
+            [with_emotion_prefix(s, EmotionQuadrant.E1, VOCAB) for s in corpus]
         )
         assert conditional.seen(control)
         assert not conditional.seen(VOCAB.emotion_id(EmotionQuadrant.E3))

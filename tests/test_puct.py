@@ -9,7 +9,6 @@ from emodecode.baselines import SamplingConfig, SBBSConfig, sbbs_decode, top_p_d
 from emodecode.emotion import EmotionQuadrant
 from emodecode.errors import TerminalNode
 from emodecode.models.base import EvaluatorBudget
-from emodecode.models.fixtures import TablePolicy
 from emodecode.puct import (
     DecodeConfig,
     Edge,
@@ -25,6 +24,7 @@ from emodecode.puct import (
     simulate,
 )
 
+from doubles import TablePolicy
 from reference import (
     MinLenClassifier,
     MinLenDiscriminator,
@@ -104,7 +104,7 @@ class TestSimulate:
         )
         assert result.reward == pytest.approx(0.56, abs=1e-12)
         assert result.sequence == [0, 1, 3]
-        assert budget.snapshot() == (1, 1)
+        assert (budget.e_calls, budget.d_calls) == (1, 1)
 
     def test_mismatched_quadrant_reward(self):
         inst = BUNDLE["pair-d10"].inst
@@ -141,7 +141,7 @@ class TestSimulate:
         assert result.reward == -1.0
         assert result.emotion is None and result.realness is None
         assert len(result.sequence) == 1 + inst.cfg.rollout_cap
-        assert budget.snapshot() == (0, 0)
+        assert (budget.e_calls, budget.d_calls) == (0, 0)
 
 
 class TestBackpropagate:
@@ -193,7 +193,7 @@ class TestSearchStep:
             )
         assert sum(e.visits for e in root.edges) == inst.cfg.budget
         assert root.node_visits == inst.cfg.budget + 1
-        assert budget.snapshot() == (inst.cfg.budget, inst.cfg.budget)
+        assert (budget.e_calls, budget.d_calls) == (inst.cfg.budget, inst.cfg.budget)
 
     def test_q_values_stay_within_reward_bounds(self):
         bundle = BUNDLE["chain-bylast"]
@@ -312,6 +312,13 @@ class TestDecodePiece:
         assert seq == _finalize(list(start), vocab)
         assert trace.records == []
 
+    @STOP_RULE_DECODERS
+    def test_start_at_max_bars_is_only_closed(self, decoder):
+        start = [0, 2]
+        vocab, seq, trace = _bar_loop_decode(decoder, start, seed=3, budget=2, max_bars=1)
+        assert seq == _finalize(list(start), vocab)
+        assert trace.records == []
+
     def test_budget_deltas_per_emitted_token(self):
         bundle = BUNDLE["pair-d10"]
         inst = bundle.inst
@@ -374,3 +381,10 @@ class TestConfigValidation:
     def test_rollout_cap_non_negative(self):
         with pytest.raises(ValueError):
             DecodeConfig(target=EmotionQuadrant.E1, rollout_cap=-1)
+
+    @STOP_RULE_DECODERS
+    @pytest.mark.parametrize("limit", ["max_bars", "max_tokens"])
+    def test_stop_limits_must_be_positive(self, decoder, limit):
+        limits = {"max_bars": 16, "max_tokens": 1024, limit: 0}
+        with pytest.raises(ValueError, match=limit):
+            _bar_loop_decode(decoder, [0], seed=0, budget=2, **limits)

@@ -28,40 +28,40 @@ class TestVocabulary:
         assert VOCAB.start_id == 0
         assert VOCAB.end_id == 1
         assert VOCAB.bar_id == 2
-        assert VOCAB.id_of(Token.position(1)) == 3
-        assert VOCAB.id_of(Token.tempo(1)) == 19
-        assert VOCAB.id_of(Token.pitch(0)) == 51
-        assert VOCAB.id_of(Token.duration(1)) == 179
-        assert VOCAB.id_of(Token.velocity(1)) == 211
+        assert VOCAB.encode([Token.position(1)])[0] == 3
+        assert VOCAB.encode([Token.tempo(1)])[0] == 19
+        assert VOCAB.encode([Token.pitch(0)])[0] == 51
+        assert VOCAB.encode([Token.duration(1)])[0] == 179
+        assert VOCAB.encode([Token.velocity(1)])[0] == 211
         assert VOCAB.emotion_id(EmotionQuadrant.E1) == 243
         assert VOCAB.emotion_id(EmotionQuadrant.E4) == 246
 
     def test_bijection(self):
         for i, tok in enumerate(VOCAB.tokens):
-            assert VOCAB.id_of(tok) == i
+            assert VOCAB.encode([tok])[0] == i
             assert VOCAB.decode([i]) == [tok]
-        assert len({VOCAB.id_of(t) for t in VOCAB.tokens}) == VOCAB.vocab_size
+        assert len({VOCAB.encode([t])[0] for t in VOCAB.tokens}) == VOCAB.vocab_size
 
     def test_encode_decode_roundtrip(self):
         seq = T("START:0 BAR:0 POSITION:1 PITCH:60 DURATION:4 VELOCITY:16 END:0")
         assert VOCAB.decode(VOCAB.encode(seq)) == seq
 
     def test_pitch_ids_carry_raw_midi_values(self):
-        assert VOCAB.values[VOCAB.id_of(Token.pitch(60))] == 60
-        assert VOCAB.kind_of(VOCAB.id_of(Token.pitch(60))) is TokenKind.PITCH
+        assert VOCAB.values[VOCAB.encode([Token.pitch(60)])[0]] == 60
+        assert VOCAB.kind_of(VOCAB.encode([Token.pitch(60)])[0]) is TokenKind.PITCH
 
     def test_no_chord_tokens(self):
         assert not any("CHORD" in t.to_text().upper() for t in VOCAB.tokens)
 
     def test_successors_sorted_and_match_grammar_mask(self):
         for tok in VOCAB.tokens:
-            ids = VOCAB.successors(VOCAB.id_of(tok))
+            ids = VOCAB.successors(VOCAB.encode([tok])[0])
             assert list(ids) == sorted(ids)
-            assert set(ids) == {VOCAB.id_of(s) for s in grammar_mask(tok)}
+            assert set(ids) == {VOCAB.encode([s])[0] for s in grammar_mask(tok)}
 
     def test_every_token_but_end_has_successors(self):
         for tok in VOCAB.tokens:
-            n = VOCAB.successors(VOCAB.id_of(tok)).size
+            n = VOCAB.successors(VOCAB.encode([tok])[0]).size
             assert (n == 0) == (tok.kind is TokenKind.END)
 
 
