@@ -18,7 +18,7 @@ from .emotion import EmotionQuadrant
 from .errors import UntrainedCondition
 from .models.base import EmotionClassifier, Policy
 from .models.ngram import with_emotion_prefix
-from .models.sampling import ranked_ids, sample_cumulative, sample_index
+from .models.sampling import sample_cumulative, sample_index
 from .puct import DecodeTrace, StopRule, _emit, _finalize
 
 _LOG_FLOOR = 1e-12
@@ -134,10 +134,10 @@ def sbbs_decode(
         candidates: list[tuple[int, int, float]] = []  # parent index, token, logscore
         for i in live:
             beam = beams[i]
-            dist = policy.next_distribution(beam.seq)
-            for tok in ranked_ids(dist)[: cfg.top_k]:
-                logscore = beam.logscore + math.log(max(float(dist[tok]), _LOG_FLOOR)) + beam.log_e
-                candidates.append((i, int(tok), logscore))
+            ids, probs = policy.top_k(beam.seq, cfg.top_k)
+            for tok, p in zip(ids, probs):
+                logscore = beam.logscore + math.log(max(p, _LOG_FLOOR)) + beam.log_e
+                candidates.append((i, tok, logscore))
 
         scores = np.array([c[2] for c in candidates], dtype=np.float64)
         weights = np.exp(scores - scores.max())

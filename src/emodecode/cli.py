@@ -268,17 +268,28 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+_PIECE_METRICS = {piece_key for _, _, piece_key in COLUMNS}
+_QUADRANT_NAMES = tuple(q.name for q in ALL_QUADRANTS)  # a tuple: a list or dict emotion is not hashable
+
+
 def _recomputed_aggregates(manifest: dict) -> dict:
     """Re-derive aggregates from recorded token ids; flag stale manifests."""
     checked = []
     for i, entry in enumerate(manifest["pieces"]):
-        recomputed = piece_metrics(tokens_to_piece(VOCAB.decode(entry["token_ids"])))
+        ids, metrics = entry["token_ids"], entry["metrics"]
+        if not all(type(t) is int and 0 <= t < VOCAB.vocab_size for t in ids):
+            raise ManifestSchemaError(f"piece {i} token_ids must be ids from 0 to {VOCAB.vocab_size - 1}")
+        if not isinstance(metrics, dict) or not all(
+            type(metrics.get(key)) in (int, float) for key in _PIECE_METRICS
+        ):
+            raise ManifestSchemaError(f"piece {i} metrics need a number for each of {sorted(_PIECE_METRICS)}")
+        if entry["emotion"] not in _QUADRANT_NAMES:
+            raise ManifestSchemaError(f"piece {i} emotion {entry['emotion']!r} is not one of E1 to E4")
+        recomputed = piece_metrics(tokens_to_piece(VOCAB.decode(ids)))
         for key, value in recomputed.items():
-            if abs(value - float(entry["metrics"][key])) > 1e-9:
-                raise ManifestSchemaError(
-                    f"piece {i} {key} is {value}, manifest records {entry['metrics'][key]}"
-                )
-        checked.append({"emotion": entry["emotion"], "metrics": {**entry["metrics"], **recomputed}})
+            if abs(value - float(metrics[key])) > 1e-9:
+                raise ManifestSchemaError(f"piece {i} {key} is {value}, manifest records {metrics[key]}")
+        checked.append({"emotion": entry["emotion"], "metrics": {**metrics, **recomputed}})
     return _aggregate(checked)
 
 

@@ -35,8 +35,8 @@ def check_distribution(vec) -> np.ndarray:
     arr = np.asarray(vec, dtype=np.float64)
     if arr.shape != (4,):
         raise ValueError(f"emotion distribution must have 4 entries, got shape {arr.shape}")
-    if np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > 1e-9:
-        raise ValueError("emotion distribution must be non-negative and sum to 1")
+    if not np.isfinite(arr).all() or np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > 1e-9:
+        raise ValueError("emotion distribution must be finite, non-negative and sum to 1")
     return arr
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from ..emotion import check_distribution
 from ..errors import GrammarError, SequenceTooShort
 from ..remi.tokens import Vocabulary, complete_bar_prefix
-from .sampling import top_p_filter
+from .sampling import ranked_ids, top_p_filter
 
 
 @dataclass
@@ -80,6 +80,18 @@ class Policy:
         ids = top_p_filter(dist, p)
         mass = dist[ids]
         return ids.tolist(), (mass / mass.sum()).tolist(), np.cumsum(mass).tolist()
+
+    def top_k(self, prefix: Sequence[int], k: int) -> tuple[list[int], list[float]]:
+        """The ``k`` most probable ids after ``prefix`` and their probabilities.
+
+        ``ids`` follow ``ranked_ids`` order (ties toward the lower id) and
+        ``probs`` are the unrenormalized ``next_distribution`` values.  A
+        caching policy hands the same lists to every caller, so callers
+        must treat both as read-only.
+        """
+        dist = self.next_distribution(prefix)
+        ids = ranked_ids(dist)[:k]
+        return ids.tolist(), dist[ids].tolist()
 
     def _legal(self, prefix: Sequence[int]) -> np.ndarray:
         if not prefix:

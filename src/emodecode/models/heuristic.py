@@ -35,14 +35,17 @@ _MINOR_PROFILE = np.array(
 _AROUSAL_WEIGHTS = (0.5, 0.3, 0.2)  # tempo, density, mean velocity
 
 
-def _rotations(profile: np.ndarray) -> tuple[list[np.ndarray], float]:
-    """The 12 rotations of the centred profile, and its norm."""
-    p = profile - profile.mean()
-    return [np.roll(p, shift) for shift in range(12)], math.sqrt(float(p @ p))
+def _rotation_table() -> tuple[np.ndarray, np.ndarray]:
+    """The centred profiles' 12 rotations each as 24 rows, major first, and each row's norm."""
+    rows, norms = [], []
+    for profile in (_MAJOR_PROFILE, _MINOR_PROFILE):
+        p = profile - profile.mean()
+        rows += [np.roll(p, shift) for shift in range(12)]
+        norms += [math.sqrt(float(p @ p))] * 12
+    return np.array(rows), np.array(norms)
 
 
-_MAJOR_ROTATIONS = _rotations(_MAJOR_PROFILE)
-_MINOR_ROTATIONS = _rotations(_MINOR_PROFILE)
+_ROTATIONS, _ROTATION_NORMS = _rotation_table()
 
 
 # the feature loop reads plain Python ints and lists, not numpy scalars
@@ -121,21 +124,17 @@ def _sequence_features(ids: tuple[int, ...], vocab: Vocabulary) -> _Features:
 def _key_correlations(hist: np.ndarray) -> tuple[float, float]:
     """Best Pearson correlation with the major and with the minor profile.
 
-    The histogram is centred once; each profile then takes one dot product
-    per rotation, as ``h @ np.roll(p, shift)`` gives it: a single
-    matrix-vector product rounds differently and changes decoded ids.
+    The histogram is centred once and ``np.vecdot`` takes one dot product
+    per rotation row, rounding as ``h @ np.roll(p, shift)`` does; the
+    matrix-vector product ``_ROTATIONS @ h`` rounds differently and changes
+    decoded ids.
     """
     if hist.sum() <= 0.0 or np.ptp(hist) == 0.0:
         return 0.0, 0.0
     h = hist - hist.mean()
     h_norm = math.sqrt(float(h @ h))
-    out = []
-    for rows, p_norm in (_MAJOR_ROTATIONS, _MINOR_ROTATIONS):
-        best = -1.0
-        for row in rows:
-            best = max(best, float(h @ row) / (h_norm * p_norm))
-        out.append(best)
-    return out[0], out[1]
+    corr = np.vecdot(_ROTATIONS, h) / (h_norm * _ROTATION_NORMS)
+    return max(-1.0, float(corr[:12].max())), max(-1.0, float(corr[12:].max()))
 
 
 @functools.lru_cache(maxsize=1024)  # about 0.5 MB

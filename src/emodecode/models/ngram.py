@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,20 +22,23 @@ class NGramPolicy(Policy):
     The longest context seen in training wins; an unseen context backs off
     one order at a time down to a uniform distribution over the legal set.
     Smoothing adds ``add_k`` to every legal successor of a seen context
-    before renormalizing.  Nuclei are cached per context; full distributions
-    are not, since search and sampling read them only through the nucleus.
+    before renormalizing.  Nuclei and top-k lists are cached per context;
+    full distributions are not, since every decoder reads them only through
+    those two.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3, add_k: float = 0.01):
         if not 2 <= order <= 4:
             raise ValueError("order must be between 2 and 4")
-        if add_k <= 0.0:
-            raise ValueError("add_k must be positive")
+        if not (math.isfinite(add_k) and add_k > 0.0):
+            raise ValueError(f"add_k must be a finite positive number, got {add_k!r}")
         self.vocab = vocab
         self.order = order
         self.add_k = add_k
         self.counts_: dict[int, dict[tuple[int, ...], dict[int, int]]] | None = None
         self._nuclei: dict[tuple[tuple[int, ...], float], tuple] = {}
+        # a dict of its own: the top-k key (ctx, 1) equals the nucleus key (ctx, 1.0)
+        self._top: dict[tuple[tuple[int, ...], int], tuple] = {}
 
     def fit(self, sequences: Iterable[Sequence[int]]) -> "NGramPolicy":
         counts: dict[int, dict[tuple[int, ...], dict[int, int]]] = {
@@ -55,6 +59,7 @@ class NGramPolicy(Policy):
             raise EmptyCorpus("cannot train on zero sequences")
         self.counts_ = counts
         self._nuclei = {}
+        self._top = {}
         return self
 
     def _require_fitted(self) -> dict:
@@ -77,6 +82,14 @@ class NGramPolicy(Policy):
         hit = self._nuclei.get(key)
         if hit is None:
             hit = self._nuclei[key] = super().nucleus(prefix, p)
+        return hit
+
+    def top_k(self, prefix: Sequence[int], k: int) -> tuple[list[int], list[float]]:
+        """Cached per context and ``k``; the returned objects are shared."""
+        key = (self._context(prefix), k)
+        hit = self._top.get(key)
+        if hit is None:
+            hit = self._top[key] = super().top_k(prefix, k)
         return hit
 
     def next_distribution(self, prefix: Sequence[int]) -> np.ndarray:

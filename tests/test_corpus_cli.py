@@ -213,6 +213,12 @@ class TestTrainCommand:
         _, corpus, _ = workspace
         assert cli.main(["train", str(corpus), "--order", "9", "--out", "unused"]) == 2
 
+    def test_nan_add_k_is_data_error(self, workspace, tmp_path, capsys):
+        _, corpus, _ = workspace
+        assert cli.main(["train", str(corpus), "--add-k", "nan", "--out", str(tmp_path / "m")]) == 2
+        assert "add_k" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "policy.json").exists()
+
 
 class TestGenerateCommand:
     @pytest.mark.parametrize("method", cli.METHODS)
@@ -308,6 +314,16 @@ class TestGenerateCommand:
         assert generate(broken, out) == 2
         assert str(broken / name) in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_policy_file_with_nan_add_k_is_data_error(self, workspace, tmp_path, capsys):
+        _, _, models = workspace
+        broken = tmp_path / "models"
+        shutil.copytree(models, broken)
+        payload = json.loads((models / "policy.json").read_text())
+        (broken / "policy.json").write_text(json.dumps(payload | {"add_k": float("nan")}))
+        assert generate(broken, tmp_path / "out", "--method", "topp") == 2
+        err = capsys.readouterr().err
+        assert str(broken / "policy.json") in err and "add_k" in err
 
     def test_bad_emotion_name_is_data_error(self, workspace, tmp_path):
         _, _, models = workspace
@@ -432,6 +448,25 @@ class TestEvaluateCommand:
         stale.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         assert cli.main(["evaluate", str(stale)]) == 2
         assert "pitch_range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda piece: piece["metrics"].pop("emotion_ok"),
+            lambda piece: piece["metrics"].update(real_ok="yes"),
+            lambda piece: piece["token_ids"].append(9999),
+            lambda piece: piece["token_ids"].insert(1, -1),
+            lambda piece: piece.update(emotion=["E1"]),
+        ],
+        ids=["no-emotion-ok", "flag-not-a-number", "id-too-large", "id-negative", "emotion-not-a-name"],
+    )
+    def test_malformed_piece_is_data_error(self, run_dir, tmp_path, capsys, damage):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        damage(manifest["pieces"][1])
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        assert cli.main(["evaluate", str(bad)]) == 2
+        assert "piece 1" in capsys.readouterr().err
 
     def test_schema_violation_is_data_error(self, tmp_path):
         bad = tmp_path / "manifest.json"

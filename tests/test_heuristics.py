@@ -178,13 +178,15 @@ class TestFeaturePass:
 
 
 class TestProfileCorrelation:
+    # up to 40 notes: a few bars; up to 400: the long sequences SBBS and wide rollouts score
+    @pytest.mark.parametrize("max_notes", [40, 400])
     @pytest.mark.parametrize(
         "profile, index", [(_MAJOR_PROFILE, 0), (_MINOR_PROFILE, 1)], ids=["major", "minor"]
     )
-    def test_equals_rolled_reference_bit_for_bit(self, profile, index):
+    def test_equals_rolled_reference_bit_for_bit(self, profile, index, max_notes):
         rng = np.random.default_rng(17)
         for _ in range(10_000):
-            notes = int(rng.integers(1, 40))
+            notes = int(rng.integers(1, max_notes))
             pitch_classes = rng.integers(0, 12, notes)
             durations = rng.integers(1, N_DURATION_BINS + 1, notes).astype(np.float64)
             hist = np.bincount(pitch_classes, weights=durations, minlength=12)

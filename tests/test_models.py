@@ -157,11 +157,18 @@ class TestEvaluators:
         assert disc.realness(seq, budget) == 0.8
         assert (budget.e_calls, budget.d_calls) == (0, 1)
 
-    def test_invalid_distribution_rejected(self):
+    @pytest.mark.parametrize(
+        "row",
+        [(0.7, 0.1, 0.1, 0.2), (float("nan"),) * 4, (float("inf"), 0.0, 0.0, 0.0)],
+        ids=["sum", "nan", "inf"],
+    )
+    def test_invalid_distribution_rejected(self, row):
         seq = ids(COMPLETE)
-        clf = TableEmotionClassifier({tuple(seq): (0.7, 0.1, 0.1, 0.2)})
+        clf = TableEmotionClassifier({tuple(seq): row})
+        budget = EvaluatorBudget()
         with pytest.raises(ValueError):
-            clf.distribution(seq, EvaluatorBudget())
+            clf.distribution(seq, budget)
+        assert budget.e_calls == 0
 
     def test_realness_outside_unit_interval_rejected(self):
         seq = ids(COMPLETE)

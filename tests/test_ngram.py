@@ -6,7 +6,7 @@ import pytest
 
 from emodecode.errors import EmptyCorpus, NotFitted
 from emodecode.models.ngram import NGramPolicy, with_emotion_prefix
-from emodecode.models.sampling import top_p_filter
+from emodecode.models.sampling import ranked_ids, top_p_filter
 from emodecode.emotion import EmotionQuadrant
 from emodecode.remi.tokens import VOCAB, Token
 
@@ -164,13 +164,65 @@ class TestNucleus:
         assert policy.nucleus(seq[:5], 1.0) is not first
 
 
+class TestTopK:
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_matches_ranking_on_every_corpus_context(self, steering_corpus, steering_models, k):
+        policy, _, _ = steering_models
+        checked = 0
+        for seq, _ in steering_corpus:
+            for cut in range(1, len(seq)):
+                prefix = seq[:cut]
+                dist = policy.next_distribution(prefix)
+                ids = ranked_ids(dist)[:k]
+                assert policy.top_k(prefix, k) == ([int(i) for i in ids], [float(dist[i]) for i in ids])
+                checked += 1
+        assert checked > 1000
+
+    def test_repeat_call_returns_the_cached_objects(self, steering_corpus, steering_models):
+        policy, _, _ = steering_models
+        seq = steering_corpus[0][0]
+        first = policy.top_k(seq[:5], 5)
+        again = policy.top_k(list(seq[:5]), 5)
+        assert all(a is b for a, b in zip(first, again))
+        assert policy.top_k(seq[:5], 10) is not first
+
+    def test_kept_apart_from_the_nucleus_cache(self, steering_corpus, steering_models):
+        policy, _, _ = steering_models
+        prefix = steering_corpus[0][0][:5]
+        # (ctx, 1) and (ctx, 1.0) are equal keys, so one shared dict would mix them up
+        top = policy.top_k(prefix, 1)
+        nucleus = policy.nucleus(prefix, 1.0)
+        assert len(top) == 2 and len(nucleus) == 3
+        assert policy.top_k(prefix, 1) is top
+        assert policy.nucleus(prefix, 1.0) is nucleus
+
+    def test_refit_clears_the_cache(self):
+        policy = NGramPolicy(VOCAB, order=2, add_k=0.01)
+        policy.fit([MEMO_SEQ])
+        before = policy.top_k(MEMO_SEQ[:3], 3)
+        assert policy.top_k(MEMO_SEQ[:3], 3) is before
+        changed = list(MEMO_SEQ)
+        changed[3] = VOCAB.encode([Token.tempo(9)])[0]
+        policy.fit([changed])
+        after = policy.top_k(MEMO_SEQ[:3], 3)
+        assert after is not before
+        assert after[0][0] != before[0][0]
+
+    def test_generic_form_serves_a_table_policy(self):
+        policy = UniformPolicy(VOCAB)
+        ids, probs = policy.top_k([VOCAB.start_id], 3)
+        legal = VOCAB.successors(VOCAB.start_id)
+        assert ids == [int(i) for i in legal[:3]]
+        assert probs == [1.0 / legal.size] * len(ids)
+
+
 class TestValidation:
     @pytest.mark.parametrize("order", [0, 1, 5])
     def test_order_range(self, order):
         with pytest.raises(ValueError):
             NGramPolicy(VOCAB, order=order)
 
-    @pytest.mark.parametrize("add_k", [0.0, -0.5])
+    @pytest.mark.parametrize("add_k", [0.0, -0.5, float("nan"), float("inf")])
     def test_add_k_positive(self, add_k):
         with pytest.raises(ValueError):
             NGramPolicy(VOCAB, add_k=add_k)
