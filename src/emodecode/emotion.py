@@ -31,11 +31,19 @@ ALL_QUADRANTS = tuple(EmotionQuadrant)
 
 
 def check_distribution(vec) -> np.ndarray:
-    """Validate a 4-way probability vector and return it as float64."""
+    """Validate a 4-way probability vector and return it as float64.
+
+    The checks run on Python floats: numpy calls on four elements cost
+    more than the arithmetic.  ``a + b + c + d`` adds in the order numpy's
+    ``sum`` does on so short a vector.  A non-finite entry makes the total
+    non-finite, which fails the tolerance test.
+    """
     arr = np.asarray(vec, dtype=np.float64)
     if arr.shape != (4,):
         raise ValueError(f"emotion distribution must have 4 entries, got shape {arr.shape}")
-    if not np.isfinite(arr).all() or np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > 1e-9:
+    a, b, c, d = arr.tolist()
+    total = a + b + c + d
+    if not (min(a, b, c, d) >= 0.0 and abs(total - 1.0) <= 1e-9):
         raise ValueError("emotion distribution must be finite, non-negative and sum to 1")
     return arr
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 
 from ..emotion import check_distribution
 from ..errors import GrammarError, SequenceTooShort
 from ..remi.tokens import Vocabulary, complete_bar_prefix
-from .sampling import ranked_ids, top_p_filter
+from .sampling import ranked_ids, sample_cumulative, top_p_filter
 
 
 @dataclass
@@ -92,6 +92,19 @@ class Policy:
         dist = self.next_distribution(prefix)
         ids = ranked_ids(dist)[:k]
         return ids.tolist(), dist[ids].tolist()
+
+    def rollout(self, seq: list[int], p: float, cap: int, rng, stops: Container[int]) -> None:
+        """Append up to ``cap`` draws from the top-``p`` nucleus to ``seq``.
+
+        Each draw takes one ``rng.random()``; the rollout ends early right
+        after appending an id in ``stops``.
+        """
+        for _ in range(cap):
+            ids, _, cum = self.nucleus(seq, p)
+            tok = ids[sample_cumulative(rng, cum)]
+            seq.append(tok)
+            if tok in stops:
+                break
 
     def _legal(self, prefix: Sequence[int]) -> np.ndarray:
         if not prefix:

@@ -5,6 +5,19 @@ The classifier reads arousal from tempo, note density and velocity
 pitch-class profile correlates with a major versus a minor key template.
 The discriminator is a fixed logistic over grammar validity, pitch-class
 entropy and how plausible the duration histogram looks next to the corpus.
+
+Both read only a few integer sums of a sequence (``_Features``), and in a
+tree search those repeat far more often than whole sequences do.  So each
+model memoises its output on the features it reads: the classifier's
+distribution on (tempo, density, velocity, pitch-class histogram), the
+discriminator's realness on (validity, pitch-class histogram, duration
+histogram).  A memo belongs to one model, is emptied by ``fit`` and starts
+empty in a loaded model; the base ``distribution`` and ``realness`` still
+count every call.  The features are computed in Python, and so is every
+step whose result is bit-identical that way.  ``np.exp``, ``np.dot``,
+``np.log2`` and the sums of more than four terms stay in numpy, because
+Python's ``math`` and summation round differently and would change
+decoded ids.
 """
 from __future__ import annotations
 
@@ -35,14 +48,18 @@ _MINOR_PROFILE = np.array(
 _AROUSAL_WEIGHTS = (0.5, 0.3, 0.2)  # tempo, density, mean velocity
 
 
-def _rotation_table() -> tuple[np.ndarray, np.ndarray]:
-    """The centred profiles' 12 rotations each as 24 rows, major first, and each row's norm."""
+def _rotation_table() -> tuple[np.ndarray, list[float]]:
+    """The centred profiles' 12 rotations each as 24 rows, major first, and each row's norm.
+
+    The table has a 25th row, which ``_key_correlations`` overwrites with
+    the centred histogram so that one ``np.vecdot`` also yields ``h . h``.
+    """
     rows, norms = [], []
     for profile in (_MAJOR_PROFILE, _MINOR_PROFILE):
         p = profile - profile.mean()
         rows += [np.roll(p, shift) for shift in range(12)]
         norms += [math.sqrt(float(p @ p))] * 12
-    return np.array(rows), np.array(norms)
+    return np.array(rows + [np.zeros(12)]), norms
 
 
 _ROTATIONS, _ROTATION_NORMS = _rotation_table()
@@ -121,35 +138,43 @@ def _sequence_features(ids: tuple[int, ...], vocab: Vocabulary) -> _Features:
     )
 
 
-def _key_correlations(hist: np.ndarray) -> tuple[float, float]:
-    """Best Pearson correlation with the major and with the minor profile.
+def _key_correlations(pc_hist: tuple[int, ...]) -> tuple[float, float]:
+    """Best Pearson correlation of an integer histogram with the major and the minor profile.
 
-    The histogram is centred once and ``np.vecdot`` takes one dot product
-    per rotation row, rounding as ``h @ np.roll(p, shift)`` does; the
-    matrix-vector product ``_ROTATIONS @ h`` rounds differently and changes
-    decoded ids.
+    The counts are integers, so their sum is exact in any order and the
+    mean is one correctly rounded division, as ``hist.mean()`` gave.  One
+    ``np.vecdot`` over the rotation rows plus the centred histogram itself
+    takes every dot product, rounding as ``h @ np.roll(p, shift)`` and
+    ``h @ h`` do; the matrix-vector product ``_ROTATIONS @ h`` rounds
+    differently and changes decoded ids.  Division and ``max`` are exact
+    on Python floats.
     """
-    if hist.sum() <= 0.0 or np.ptp(hist) == 0.0:
+    total = sum(pc_hist)
+    if total <= 0 or max(pc_hist) == min(pc_hist):
         return 0.0, 0.0
-    h = hist - hist.mean()
-    h_norm = math.sqrt(float(h @ h))
-    corr = np.vecdot(_ROTATIONS, h) / (h_norm * _ROTATION_NORMS)
-    return max(-1.0, float(corr[:12].max())), max(-1.0, float(corr[12:].max()))
+    mean = total / len(pc_hist)
+    _ROTATIONS[24] = [x - mean for x in pc_hist]
+    dots = np.vecdot(_ROTATIONS, _ROTATIONS[24]).tolist()
+    h_norm = math.sqrt(dots[24])
+    corr = [d / (h_norm * n) for d, n in zip(dots, _ROTATION_NORMS)]
+    return max(-1.0, *corr[:12]), max(-1.0, *corr[12:])
 
 
-@functools.lru_cache(maxsize=1024)  # about 0.5 MB
-def _cached_key_correlations(pc_hist: tuple[int, ...]) -> tuple[float, float]:
-    """``_key_correlations`` of an integer histogram, memoised."""
-    return _key_correlations(np.array(pc_hist, dtype=np.float64))
+# about 0.5 MB; pitch-class histograms repeat far more often than sequences
+_cached_key_correlations = functools.lru_cache(maxsize=1024)(_key_correlations)
 
 
 class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
     """Quadrant probabilities from corpus-calibrated arousal and valence."""
 
+    # about 60 KB; in PUCT rollouts a larger memo adds few hits (19% at 1,024 against 16%)
+    MEMO_SIZE = 128
+
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self.means_: np.ndarray | None = None
         self.stds_: np.ndarray | None = None
+        self._memo = functools.lru_cache(maxsize=self.MEMO_SIZE)(self._distribution)
 
     def fit(self, sequences: Iterable[Sequence[int]]) -> "HeuristicEmotionClassifier":
         rows = []
@@ -161,6 +186,7 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
         arr = np.asarray(rows, dtype=np.float64)
         self.means_ = arr.mean(axis=0)
         self.stds_ = arr.std(axis=0)
+        self._memo.cache_clear()
         return self
 
     def _require_fitted(self):
@@ -170,21 +196,32 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
     def valence_arousal(self, seq: Sequence[int]) -> tuple[float, float]:
         self._require_fitted()
         f = _sequence_features(tuple(seq), self.vocab)
-        feats = np.array([f.tempo, f.density, f.velocity], dtype=np.float64)
-        z = np.where(self.stds_ > 1e-9, (feats - self.means_) / np.where(self.stds_ > 1e-9, self.stds_, 1.0), 0.0)
+        return self._valence_arousal(f.tempo, f.density, f.velocity, f.pc_hist)
+
+    def _valence_arousal(self, tempo, density, velocity, pc_hist) -> tuple[float, float]:
+        z = [
+            (x - m) / s if s > 1e-9 else 0.0
+            for x, m, s in zip((tempo, density, velocity), self.means_.tolist(), self.stds_.tolist())
+        ]
         arousal = float(np.dot(_AROUSAL_WEIGHTS, z))
-        major, minor = _cached_key_correlations(f.pc_hist)
-        valence = major - minor
-        return valence, arousal
+        major, minor = _cached_key_correlations(pc_hist)
+        return major - minor, arousal
+
+    def _distribution(self, tempo, density, velocity, pc_hist) -> np.ndarray:
+        """The read-only quadrant distribution of one feature set; memoised per model."""
+        valence, arousal = self._valence_arousal(tempo, density, velocity, pc_hist)
+        # quadrant order E1..E4 with sign patterns (+v+a, -v+a, -v-a, +v-a)
+        scores = [arousal + valence, arousal - valence, -arousal - valence, -arousal + valence]
+        top = max(scores)
+        exps = np.exp([x - top for x in scores])
+        dist = exps / exps.sum()
+        dist.flags.writeable = False  # the memo hands the same array to every caller
+        return dist
 
     def _evaluate(self, seq: list[int]) -> np.ndarray:
-        valence, arousal = self.valence_arousal(seq)
-        # quadrant order E1..E4 with sign patterns (+v+a, -v+a, -v-a, +v-a)
-        scores = np.array(
-            [arousal + valence, arousal - valence, -arousal - valence, -arousal + valence]
-        )
-        exps = np.exp(scores - scores.max())
-        return exps / exps.sum()
+        self._require_fitted()
+        f = _sequence_features(tuple(seq), self.vocab)
+        return self._memo(f.tempo, f.density, f.velocity, f.pc_hist)
 
     def save(self, path: str | Path) -> None:
         self._require_fitted()
@@ -212,9 +249,13 @@ _MAX_PC_ENTROPY = math.log2(12)
 class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
     """Logistic realness score calibrated on the corpus duration histogram."""
 
+    # about 0.6 MB, mostly the histogram tuples of its keys; 82% of calls hit on puct_narrow
+    MEMO_SIZE = 1024
+
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self.duration_hist_: np.ndarray | None = None
+        self._memo = functools.lru_cache(maxsize=self.MEMO_SIZE)(self._realness)
 
     def fit(self, sequences: Iterable[Sequence[int]]) -> "HeuristicDiscriminator":
         hist = np.ones(N_DURATION_BINS, dtype=np.float64)  # add-one smoothing
@@ -225,28 +266,33 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
         if not seen:
             raise EmptyCorpus("cannot calibrate on an empty corpus")
         self.duration_hist_ = hist / hist.sum()
+        self._memo.cache_clear()
         return self
+
+    def _realness(self, validity: float, pc_hist: tuple[int, ...], dur_hist: tuple[int, ...]) -> float:
+        """Realness of one feature set; memoised per model."""
+        pc = np.array(pc_hist, dtype=np.float64)
+        dur = np.array(dur_hist, dtype=np.float64)
+        total_pc = pc.sum()
+        if total_pc > 0.0:
+            probs = pc[pc > 0.0] / total_pc
+            entropy = float(-(probs * np.log2(probs)).sum()) / _MAX_PC_ENTROPY
+        else:
+            entropy = 0.0
+        total_dur = dur.sum()
+        if total_dur > 0.0:
+            fit = float(np.minimum(dur / total_dur, self.duration_hist_).sum())
+        else:
+            fit = 0.0
+        x = (validity, entropy, fit)
+        logit = _REALNESS_BIAS + float(np.dot(_REALNESS_WEIGHTS, x))
+        return 1.0 / (1.0 + math.exp(-logit))
 
     def _evaluate(self, seq: list[int]) -> float:
         if self.duration_hist_ is None:
             raise NotFitted("discriminator must be fit() or load()ed before use")
         f = _sequence_features(tuple(seq), self.vocab)
-        pc_hist = np.array(f.pc_hist, dtype=np.float64)
-        dur_hist = np.array(f.dur_hist, dtype=np.float64)
-        total_pc = pc_hist.sum()
-        if total_pc > 0.0:
-            probs = pc_hist[pc_hist > 0.0] / total_pc
-            entropy = float(-(probs * np.log2(probs)).sum()) / _MAX_PC_ENTROPY
-        else:
-            entropy = 0.0
-        total_dur = dur_hist.sum()
-        if total_dur > 0.0:
-            fit = float(np.minimum(dur_hist / total_dur, self.duration_hist_).sum())
-        else:
-            fit = 0.0
-        x = (f.validity, entropy, fit)
-        logit = _REALNESS_BIAS + float(np.dot(_REALNESS_WEIGHTS, x))
-        return 1.0 / (1.0 + math.exp(-logit))
+        return self._memo(f.validity, f.pc_hist, f.dur_hist)
 
     def save(self, path: str | Path) -> None:
         if self.duration_hist_ is None:

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -83,6 +84,26 @@ class NGramPolicy(Policy):
         if hit is None:
             hit = self._nuclei[key] = super().nucleus(prefix, p)
         return hit
+
+    def rollout(self, seq: list[int], p: float, cap: int, rng, stops: Container[int]) -> None:
+        """``Policy.rollout``, carrying the context from draw to draw.
+
+        The context tuple is extended by each drawn id instead of re-sliced
+        from ``seq``, the nucleus cache is read directly (a miss goes
+        through ``nucleus``) and ``sample_cumulative`` is inlined: a nucleus
+        always has positive mass.
+        """
+        n = self.order - 1
+        ctx = self._context(seq)
+        nuclei = self._nuclei
+        random = rng.random
+        for _ in range(cap):
+            ids, _, cum = nuclei.get((ctx, p)) or self.nucleus(seq, p)
+            tok = ids[min(bisect_right(cum, random() * cum[-1]), len(cum) - 1)]
+            seq.append(tok)
+            if tok in stops:
+                break
+            ctx = (*ctx, tok)[-n:]
 
     def top_k(self, prefix: Sequence[int], k: int) -> tuple[list[int], list[float]]:
         """Cached per context and ``k``; the returned objects are shared."""

@@ -24,7 +24,7 @@ import numpy as np
 from .emotion import EmotionQuadrant, argmax_quadrant
 from .errors import SequenceTooShort, TerminalNode
 from .models.base import Discriminator, EmotionClassifier, EvaluatorBudget, Policy
-from .models.sampling import sample_cumulative, sample_index
+from .models.sampling import sample_index
 
 
 @dataclass
@@ -44,8 +44,8 @@ class DecodeConfig:
             raise ValueError("budget must be at least 1")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
-        if self.exploration_c < 0.0:
-            raise ValueError("exploration_c must be non-negative")
+        if not (math.isfinite(self.exploration_c) and self.exploration_c >= 0.0):
+            raise ValueError(f"exploration_c must be a finite non-negative number, got {self.exploration_c!r}")
         if self.rollout_cap < 0:
             raise ValueError("rollout_cap must be non-negative")
 
@@ -125,19 +125,24 @@ def simulate(
 ) -> RolloutResult:
     """Roll out to the next bar line (or end) and score the result.
 
-    Sampling is nucleus-filtered at every step.  If the cap cuts the rollout
-    before a single bar has been completed the result is the floor reward -1
-    and the evaluators are not consulted.
+    ``policy.rollout`` samples the continuation, nucleus-filtered at every
+    step.  If the cap cuts the rollout before a single bar has been
+    completed the result is the floor reward -1 and the evaluators are not
+    consulted.
+
+    Each evaluator call counts against ``budget`` even when it is served
+    from memory: the heuristic classifier memoises its distribution on
+    (tempo, density, velocity, pitch-class histogram) and the discriminator
+    its realness on (validity, pitch-class histogram, duration histogram),
+    inputs that repeat across rollouts far more often than whole sequences
+    do.  A miss still calls ``np.exp``, ``np.dot`` and ``np.log2`` on a few
+    elements: Python's ``math`` rounds differently and would change the
+    decoded ids.
     """
     vocab = policy.vocab
     seq = list(prefix)
     if seq[-1] != vocab.end_id:
-        for _ in range(cfg.rollout_cap):
-            ids, _, cum = policy.nucleus(seq, cfg.top_p)
-            tok = ids[sample_cumulative(rng, cum)]
-            seq.append(tok)
-            if tok == vocab.bar_id or tok == vocab.end_id:
-                break
+        policy.rollout(seq, cfg.top_p, cfg.rollout_cap, rng, (vocab.bar_id, vocab.end_id))
     try:
         emotion = classifier.distribution(seq, budget)
         realness = discriminator.realness(seq, budget)

@@ -336,6 +336,7 @@ class TestGenerateCommand:
             ("cs", "--top-p", "1.5"),
             ("puct", "--top-p", "0"),
             ("puct", "--rollout-cap", "-1"),
+            ("puct", "--exploration-c", "nan"),
             ("puct", "--max-bars", "0"),
             ("sbbs", "--max-bars", "0"),
             ("topp", "--max-tokens", "0"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from emodecode.baselines import SamplingConfig, top_p_decode
-from emodecode.emotion import ALL_QUADRANTS, EmotionQuadrant, argmax_quadrant
+from emodecode.emotion import ALL_QUADRANTS, EmotionQuadrant, argmax_quadrant, check_distribution
 from emodecode.errors import EmptyCorpus, NotFitted, SequenceTooShort
 from emodecode.models.base import EvaluatorBudget
 from emodecode.models import heuristic
@@ -20,7 +20,7 @@ from emodecode.models.heuristic import (
     _sequence_features,
 )
 from emodecode.remi.piece import DEFAULT_BPM
-from emodecode.remi.tokens import KIND_PAIR_LEGAL, N_DURATION_BINS, VOCAB, Token, TokenKind
+from emodecode.remi.tokens import KIND_PAIR_LEGAL, N_DURATION_BINS, VOCAB, Token, TokenKind, complete_bar_prefix
 
 from conftest import style_tokens
 from doubles import UniformPolicy
@@ -119,6 +119,50 @@ def grammar_walk(rng, length: int) -> list[int]:
     return seq
 
 
+def reference_distribution(classifier, seq) -> np.ndarray:
+    """The classifier's quadrant distribution by its numpy formula from before the memo."""
+    f = reference_features(complete_bar_prefix(seq, VOCAB), VOCAB)
+    feats = np.array([f.tempo, f.density, f.velocity], dtype=np.float64)
+    means, stds = classifier.means_, classifier.stds_
+    z = np.where(stds > 1e-9, (feats - means) / np.where(stds > 1e-9, stds, 1.0), 0.0)
+    arousal = float(np.dot(heuristic._AROUSAL_WEIGHTS, z))
+    hist = np.array(f.pc_hist, dtype=np.float64)
+    valence = rolled_correlation(hist, _MAJOR_PROFILE) - rolled_correlation(hist, _MINOR_PROFILE)
+    scores = np.array([arousal + valence, arousal - valence, -arousal - valence, -arousal + valence])
+    exps = np.exp(scores - scores.max())
+    return exps / exps.sum()
+
+
+def reference_realness(discriminator, seq) -> float:
+    """The discriminator's realness by its numpy formula from before the memo."""
+    f = reference_features(complete_bar_prefix(seq, VOCAB), VOCAB)
+    pc_hist = np.array(f.pc_hist, dtype=np.float64)
+    dur_hist = np.array(f.dur_hist, dtype=np.float64)
+    entropy = fit = 0.0
+    if pc_hist.sum() > 0.0:
+        probs = pc_hist[pc_hist > 0.0] / pc_hist.sum()
+        entropy = float(-(probs * np.log2(probs)).sum()) / math.log2(12)
+    if dur_hist.sum() > 0.0:
+        fit = float(np.minimum(dur_hist / dur_hist.sum(), discriminator.duration_hist_).sum())
+    logit = heuristic._REALNESS_BIAS + float(np.dot(heuristic._REALNESS_WEIGHTS, (f.validity, entropy, fit)))
+    return 1.0 / (1.0 + math.exp(-logit))
+
+
+def evaluable_walks(seed: int, count: int = 5000) -> list[list[int]]:
+    """The grammar walks, of up to 120 ids, that close at least one bar."""
+    rng = np.random.default_rng(seed)
+    walks = (grammar_walk(rng, int(rng.integers(1, 120))) for _ in range(count))
+    return [walk for walk in walks if complete_bar_prefix(walk, VOCAB) is not None]
+
+
+class UncachedClassifier(HeuristicEmotionClassifier):
+    MEMO_SIZE = 0
+
+
+class UncachedDiscriminator(HeuristicDiscriminator):
+    MEMO_SIZE = 0
+
+
 class TestFeaturePass:
     def test_every_corpus_prefix_matches_numpy_reference(self, steering_corpus):
         for seq, _ in steering_corpus:
@@ -206,6 +250,117 @@ class TestProfileCorrelation:
     def test_flat_or_empty_histogram_is_zero(self):
         assert _key_correlations(np.zeros(12)) == (0.0, 0.0)
         assert _key_correlations(np.full(12, 3.0)) == (0.0, 0.0)
+
+
+class TestEvaluatorMemos:
+    def test_key_correlations_equal_rolled_reference_on_integer_histograms(self):
+        rng = np.random.default_rng(41)
+        hists = [(0,) * 12, (3,) * 12, (1,) * 12]
+        hists += [tuple(n if i == pc else 0 for i in range(12)) for pc in range(12) for n in (1, 7)]
+        hists += [tuple(int(x) for x in rng.integers(0, m, 12)) for m in (2, 5, 40, 2000) for _ in range(500)]
+        walks = evaluable_walks(37)
+        hists += [_sequence_features(tuple(walk), VOCAB).pc_hist for walk in walks]
+        for counts in hists:
+            hist = np.array(counts, dtype=np.float64)
+            want = (rolled_correlation(hist, _MAJOR_PROFILE), rolled_correlation(hist, _MINOR_PROFILE))
+            assert _key_correlations(counts) == want
+            assert _cached_key_correlations(counts) == want
+
+    def test_memoised_values_equal_the_reference_and_every_call_counts(self, steering_corpus):
+        sequences = [seq for seq, _ in steering_corpus]
+        classifier = HeuristicEmotionClassifier(VOCAB).fit(sequences)
+        discriminator = HeuristicDiscriminator(VOCAB).fit(sequences)
+        uncached = UncachedClassifier(VOCAB).fit(sequences), UncachedDiscriminator(VOCAB).fit(sequences)
+        walks = evaluable_walks(43)
+        assert len(walks) > 3000
+        budget, spare = EvaluatorBudget(), EvaluatorBudget()
+        # then the last 100 again, through a fresh feature pass: equal keys in new tuples
+        for calls, walk in enumerate(walks + walks[-100:], start=1):
+            if calls == len(walks) + 1:
+                _sequence_features.cache_clear()
+            vec = classifier.distribution(walk, budget)
+            assert np.array_equal(vec, reference_distribution(classifier, walk))
+            assert np.array_equal(vec, uncached[0].distribution(walk, spare))
+            realness = discriminator.realness(walk, budget)
+            assert realness == reference_realness(discriminator, walk)
+            assert realness == uncached[1].realness(walk, spare)
+            assert (budget.e_calls, budget.d_calls) == (calls, calls)
+        for model in (classifier, discriminator):
+            info = model._memo.cache_info()
+            assert info.hits >= 100
+            assert info.maxsize == model.MEMO_SIZE and info.currsize <= model.MEMO_SIZE
+        assert uncached[0]._memo.cache_info().currsize == uncached[1]._memo.cache_info().currsize == 0
+
+    def test_refit_never_serves_a_stale_value(self, steering_corpus):
+        sequences = [seq for seq, _ in steering_corpus]
+        walks = evaluable_walks(47, count=400)
+        classifier = HeuristicEmotionClassifier(VOCAB).fit(sequences)
+        discriminator = HeuristicDiscriminator(VOCAB).fit(sequences)
+        budget = EvaluatorBudget()
+        # with a note, so the duration fit and with it realness depend on the corpus
+        noted = [w for w in walks if sum(reference_features(complete_bar_prefix(w, VOCAB), VOCAB).dur_hist)]
+        probes = sequences[::6] + noted[:40]
+        before = [(classifier.distribution(s, budget), discriminator.realness(s, budget)) for s in probes]
+        classifier.fit(walks)
+        discriminator.fit(walks)
+        fresh = HeuristicEmotionClassifier(VOCAB).fit(walks), HeuristicDiscriminator(VOCAB).fit(walks)
+        for seq, (vec, realness) in zip(probes, before):
+            again = classifier.distribution(seq, budget)
+            assert np.array_equal(again, fresh[0].distribution(seq, budget))
+            assert not np.array_equal(again, vec)
+            assert discriminator.realness(seq, budget) == fresh[1].realness(seq, budget) != realness
+
+    def test_loaded_model_starts_with_an_empty_memo(self, fitted, steering_corpus, tmp_path):
+        classifier, discriminator = fitted
+        budget = EvaluatorBudget()
+        for seq, _ in steering_corpus:
+            classifier.distribution(seq, budget)
+            discriminator.realness(seq, budget)
+        for model, name in ((classifier, "clf.json"), (discriminator, "disc.json")):
+            model.save(tmp_path / name)
+            back = type(model).load(tmp_path / name, VOCAB)
+            assert model._memo.cache_info().currsize > 0
+            assert back._memo.cache_info().currsize == 0
+
+    def test_returned_distribution_is_read_only(self, fitted, steering_corpus):
+        classifier, _ = fitted
+        vec = classifier.distribution(steering_corpus[3][0], EvaluatorBudget())
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+        with pytest.raises(ValueError):
+            vec *= 2.0
+        assert classifier.distribution(steering_corpus[3][0], EvaluatorBudget()) is vec
+
+
+class TestCheckDistribution:
+    @pytest.mark.parametrize(
+        "vec",
+        [
+            [float("nan"), 0.5, 0.25, 0.25],
+            [0.25, 0.25, 0.5, float("nan")],
+            [float("inf"), 0.0, 0.0, 0.0],
+            [float("inf"), float("-inf"), 0.5, 0.5],
+            [float("-inf"), 0.5, 0.5, 0.5],
+            [-0.1, 0.6, 0.25, 0.25],  # sums to 1
+            [0.5, 0.5, -0.0001, 0.0001],
+            [0.25, 0.25, 0.5],
+            [0.2, 0.2, 0.2, 0.2, 0.2],
+            [[0.25, 0.25, 0.25, 0.25]],
+            [0.25, 0.25, 0.25, 0.25 + 2e-9],
+            [0.25, 0.25, 0.25, 0.25 - 2e-9],
+            [1e308, 1e308, 0.0, 0.0],
+        ],
+    )
+    def test_rejects(self, vec):
+        with pytest.raises(ValueError):
+            check_distribution(vec)
+
+    def test_accepts_a_sum_within_tolerance_and_returns_float64(self):
+        assert check_distribution([0.25, 0.25, 0.25, 0.25 + 5e-10]).dtype == np.float64
+        assert check_distribution([1, 0, 0, 0]).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert check_distribution([0.5, -0.0, 0.5, 0.0]).tolist() == [0.5, -0.0, 0.5, 0.0]
+        vec = np.array([0.1, 0.2, 0.3, 0.4])
+        assert check_distribution(vec) is vec
 
 
 class TestClassifier:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from emodecode.errors import EmptyCorpus, NotFitted
+from emodecode.models.base import Policy
 from emodecode.models.ngram import NGramPolicy, with_emotion_prefix
 from emodecode.models.sampling import ranked_ids, top_p_filter
-from emodecode.emotion import EmotionQuadrant
+from emodecode.emotion import ALL_QUADRANTS, EmotionQuadrant
 from emodecode.remi.tokens import VOCAB, Token
 
+from conftest import style_tokens
 from doubles import UniformPolicy, perplexity
 from reference import naive_ngram_distribution
 
@@ -214,6 +216,52 @@ class TestTopK:
         legal = VOCAB.successors(VOCAB.start_id)
         assert ids == [int(i) for i in legal[:3]]
         assert probs == [1.0 / legal.size] * len(ids)
+
+
+# two-bar pieces closed by END: after a bar's last note, BAR and END both follow
+ROLLOUT_CORPUS = [
+    VOCAB.encode(style_tokens(quadrant, variant, bars=2) + [Token.end()])
+    for quadrant in ALL_QUADRANTS
+    for variant in range(3)
+]
+ROLLOUT_STOPS = (VOCAB.bar_id, VOCAB.end_id)
+
+
+class TestRollout:
+    """``NGramPolicy.rollout`` against the generic ``Policy.rollout`` loop."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("p", [0.9, 1.0])
+    @pytest.mark.parametrize("cap", [0, 1, 5, 64])
+    def test_appends_the_same_ids_and_leaves_the_same_generator_state(self, order, p, cap):
+        policy = NGramPolicy(VOCAB, order=order).fit(ROLLOUT_CORPUS)
+        generic = NGramPolicy(VOCAB, order=order).fit(ROLLOUT_CORPUS)
+        # START alone and START plus a control token are shorter than order - 1 for order 4
+        prefixes = [[VOCAB.start_id], with_emotion_prefix([VOCAB.start_id], EmotionQuadrant.E2, VOCAB)]
+        prefixes += [seq[:cut] for seq in ROLLOUT_CORPUS[::4] for cut in range(1, len(seq))]
+        last = []
+        for warm in (False, True):  # the first pass fills the nucleus cache, the second reads it
+            for i, prefix in enumerate(prefixes):
+                ours, theirs = list(prefix), list(prefix)
+                rng_ours, rng_theirs = np.random.default_rng([i, cap]), np.random.default_rng([i, cap])
+                policy.rollout(ours, p, cap, rng_ours, ROLLOUT_STOPS)
+                Policy.rollout(generic, theirs, p, cap, rng_theirs, ROLLOUT_STOPS)
+                assert ours == theirs
+                assert rng_ours.random() == rng_theirs.random()
+                assert len(ours) - len(prefix) <= cap
+                if len(ours) > len(prefix):
+                    last.append(ours[-1])
+            assert policy._nuclei.keys() == generic._nuclei.keys()
+        if cap == 64:  # long enough to reach a bar line: both stops occur
+            assert VOCAB.bar_id in last and VOCAB.end_id in last
+
+    def test_cap_zero_draws_nothing(self):
+        policy = NGramPolicy(VOCAB, order=3).fit(ROLLOUT_CORPUS)
+        seq = [VOCAB.start_id]
+        rng = np.random.default_rng(0)
+        policy.rollout(seq, 0.9, 0, rng, ROLLOUT_STOPS)
+        assert seq == [VOCAB.start_id]
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestValidation:

@@ -378,6 +378,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DecodeConfig(target=EmotionQuadrant.E1, exploration_c=-1.0)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+    def test_exploration_c_finite(self, c):
+        # a NaN constant makes every selection score NaN, and the search degenerate
+        with pytest.raises(ValueError, match="exploration_c"):
+            DecodeConfig(target=EmotionQuadrant.E1, exploration_c=c)
+
     def test_rollout_cap_non_negative(self):
         with pytest.raises(ValueError):
             DecodeConfig(target=EmotionQuadrant.E1, rollout_cap=-1)
