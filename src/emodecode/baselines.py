@@ -18,7 +18,7 @@ from .emotion import EmotionQuadrant
 from .errors import UntrainedCondition
 from .models.base import EmotionClassifier, Policy
 from .models.ngram import with_emotion_prefix
-from .models.sampling import sample_cumulative, sample_index
+from .models.sampling import sample_cumulative, sample_index, uniform_stream
 from .puct import DecodeTrace, StopRule, _emit, _finalize
 
 _LOG_FLOOR = 1e-12
@@ -61,7 +61,7 @@ def top_p_decode(
 
     def next_token(seq: list[int]) -> int:
         ids, probs, cum = policy.nucleus(seq, cfg.top_p)
-        token = ids[sample_cumulative(rng, cum)]
+        token = ids[sample_cumulative(stream, cum)]
         trace.records.append(
             {
                 "step": len(trace.records),
@@ -74,7 +74,8 @@ def top_p_decode(
         )
         return token
 
-    return _emit(start, StopRule(policy.vocab, cfg.max_bars, cfg.max_tokens), next_token), trace
+    with uniform_stream(rng) as stream:
+        return _emit(start, StopRule(policy.vocab, cfg.max_bars, cfg.max_tokens), next_token), trace
 
 
 def cs_decode(
@@ -129,49 +130,50 @@ def sbbs_decode(
     bars, done = rule.start(start)
     beams = [_Beam(seq=list(start), logscore=0.0, bars=bars, done=done) for _ in range(cfg.beams)]
     trace = DecodeTrace(method="sbbs", start=list(start))
-    while not all(b.done for b in beams):
-        live = [i for i, b in enumerate(beams) if not b.done]
-        candidates: list[tuple[int, int, float]] = []  # parent index, token, logscore
-        for i in live:
-            beam = beams[i]
-            ids, probs = policy.top_k(beam.seq, cfg.top_k)
-            for tok, p in zip(ids, probs):
-                logscore = beam.logscore + math.log(max(p, _LOG_FLOOR)) + beam.log_e
-                candidates.append((i, tok, logscore))
+    with uniform_stream(rng) as stream:
+        while not all(b.done for b in beams):
+            live = [i for i, b in enumerate(beams) if not b.done]
+            candidates: list[tuple[int, int, float]] = []  # parent index, token, logscore
+            for i in live:
+                beam = beams[i]
+                ids, probs = policy.top_k(beam.seq, cfg.top_k)
+                for tok, p in zip(ids, probs):
+                    logscore = beam.logscore + math.log(max(p, _LOG_FLOOR)) + beam.log_e
+                    candidates.append((i, tok, logscore))
 
-        scores = np.array([c[2] for c in candidates], dtype=np.float64)
-        weights = np.exp(scores - scores.max())
-        picked: list[int] = []
-        for _ in range(min(len(live), len(candidates))):
-            idx = sample_index(rng, weights)
-            picked.append(idx)
-            weights[idx] = 0.0  # without replacement
-            if not weights.any():
-                break
+            scores = np.array([c[2] for c in candidates], dtype=np.float64)
+            weights = np.exp(scores - scores.max())
+            picked: list[int] = []
+            for _ in range(min(len(live), len(candidates))):
+                idx = sample_index(stream, weights)
+                picked.append(idx)
+                weights[idx] = 0.0  # without replacement
+                if not weights.any():
+                    break
 
-        survivors: list[_Beam] = [b for b in beams if b.done]
-        for idx in picked:
-            parent, token, logscore = candidates[idx]
-            beam = beams[parent]
-            seq = beam.seq + [token]
-            bars, done = rule.after(seq, beam.bars)
-            child = _Beam(seq=seq, logscore=logscore, log_e=beam.log_e, bars=bars, done=done)
-            if token == vocab.bar_id and bars >= 2:  # the first bar line closes no bar
-                e_vec = classifier.distribution(seq, trace)
-                child.log_e = math.log(max(float(e_vec[cfg.target.index]), _LOG_FLOOR))
-            survivors.append(child)
-        beams = survivors
-        trace.records.append(
-            {
-                "step": len(trace.records),
-                "beams": [
-                    {"parent": candidates[i][0], "token_id": candidates[i][1], "logscore": candidates[i][2]}
-                    for i in picked
-                ],
-                "e_calls": trace.e_calls,
-                "d_calls": trace.d_calls,
-            }
-        )
+            survivors: list[_Beam] = [b for b in beams if b.done]
+            for idx in picked:
+                parent, token, logscore = candidates[idx]
+                beam = beams[parent]
+                seq = beam.seq + [token]
+                bars, done = rule.after(seq, beam.bars)
+                child = _Beam(seq=seq, logscore=logscore, log_e=beam.log_e, bars=bars, done=done)
+                if token == vocab.bar_id and bars >= 2:  # the first bar line closes no bar
+                    e_vec = classifier.distribution(seq, trace)
+                    child.log_e = math.log(max(float(e_vec[cfg.target.index]), _LOG_FLOOR))
+                survivors.append(child)
+            beams = survivors
+            trace.records.append(
+                {
+                    "step": len(trace.records),
+                    "beams": [
+                        {"parent": candidates[i][0], "token_id": candidates[i][1], "logscore": candidates[i][2]}
+                        for i in picked
+                    ],
+                    "e_calls": trace.e_calls,
+                    "d_calls": trace.d_calls,
+                }
+            )
 
     best = max(beams, key=lambda b: b.logscore)
     return _finalize(list(best.seq), vocab), trace

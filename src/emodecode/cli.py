@@ -103,6 +103,16 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _check_type(section: str, key: str, value) -> None:
+    """A config file value must have its default's type; an int may stand for a float."""
+    expected = type(DEFAULTS[key])
+    allowed = (int, float) if expected is float else (expected,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(
+            f"config [{section}] {key} must be {expected.__name__}, got {type(value).__name__} {value!r}"
+        )
+
+
 def merged_config(args: argparse.Namespace, method: str) -> dict:
     """defaults <- config file common section <- method section <- flags."""
     cfg = dict(DEFAULTS)
@@ -115,9 +125,13 @@ def merged_config(args: argparse.Namespace, method: str) -> dict:
             raise ValueError(f"unknown config sections {sorted(unknown_sections)}")
         for section in ("common", method):
             table = loaded.get(section) or {}
+            if not isinstance(table, dict):
+                raise ValueError(f"config section [{section}] must hold a mapping")
             bad = set(table) - set(DEFAULTS)
             if bad:
                 raise ValueError(f"unknown config keys in [{section}]: {sorted(bad)}")
+            for key, value in table.items():
+                _check_type(section, key, value)
             cfg.update(table)
     for key in DEFAULTS:
         value = getattr(args, key, None)

@@ -49,5 +49,10 @@ def check_distribution(vec) -> np.ndarray:
 
 
 def argmax_quadrant(vec) -> EmotionQuadrant:
-    """Most probable quadrant; ties go to the lowest quadrant number."""
-    return ALL_QUADRANTS[int(np.argmax(np.asarray(vec)))]
+    """Most probable quadrant; ties go to the lowest quadrant number.
+
+    Read as Python floats, as in ``check_distribution``: ``max`` keeps the
+    first of equal values, as ``np.argmax`` does on finite entries.
+    """
+    values = vec.tolist() if isinstance(vec, np.ndarray) else list(vec)
+    return ALL_QUADRANTS[values.index(max(values))]

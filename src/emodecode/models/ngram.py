@@ -26,6 +26,14 @@ class NGramPolicy(Policy):
     before renormalizing.  Nuclei and top-k lists are cached per context;
     full distributions are not, since every decoder reads them only through
     those two.
+
+    Rollouts walk a table of successor-linked nuclei, one entry per
+    ``(context, p)``: the ids and cumulative masses, each with a sentinel
+    (the last id repeated, ``math.inf``) that stands in for clamping the
+    drawn index, and one successor slot per index.  A slot is filled with
+    the next context's entry the first time its id is drawn, so a warm step
+    costs one uniform, one ``bisect`` and one list index.  ``fit`` empties
+    every cache, the table included.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3, add_k: float = 0.01):
@@ -40,6 +48,7 @@ class NGramPolicy(Policy):
         self._nuclei: dict[tuple[tuple[int, ...], float], tuple] = {}
         # a dict of its own: the top-k key (ctx, 1) equals the nucleus key (ctx, 1.0)
         self._top: dict[tuple[tuple[int, ...], int], tuple] = {}
+        self._entries: dict[tuple[tuple[int, ...], float], tuple] = {}  # rollout entries
 
     def fit(self, sequences: Iterable[Sequence[int]]) -> "NGramPolicy":
         counts: dict[int, dict[tuple[int, ...], dict[int, int]]] = {
@@ -61,6 +70,7 @@ class NGramPolicy(Policy):
         self.counts_ = counts
         self._nuclei = {}
         self._top = {}
+        self._entries = {}
         return self
 
     def _require_fitted(self) -> dict:
@@ -86,24 +96,36 @@ class NGramPolicy(Policy):
         return hit
 
     def rollout(self, seq: list[int], p: float, cap: int, rng, stops: Container[int]) -> None:
-        """``Policy.rollout``, carrying the context from draw to draw.
+        """``Policy.rollout``, stepping through the successor-linked nuclei.
 
-        The context tuple is extended by each drawn id instead of re-sliced
-        from ``seq``, the nucleus cache is read directly (a miss goes
-        through ``nucleus``) and ``sample_cumulative`` is inlined: a nucleus
-        always has positive mass.
+        The same ids and draws as the generic loop, and the same nucleus
+        cache keys: an entry is built through ``nucleus`` and a successor is
+        resolved only when the next draw needs it.
         """
-        n = self.order - 1
-        ctx = self._context(seq)
-        nuclei = self._nuclei
+        if cap < 1:
+            return
+        ids, cum, total, succ = self._rollout_entry(seq, p)
         random = rng.random
-        for _ in range(cap):
-            ids, _, cum = nuclei.get((ctx, p)) or self.nucleus(seq, p)
-            tok = ids[min(bisect_right(cum, random() * cum[-1]), len(cum) - 1)]
+        for _ in range(cap - 1):
+            i = bisect_right(cum, random() * total)
+            tok = ids[i]
             seq.append(tok)
             if tok in stops:
-                break
-            ctx = (*ctx, tok)[-n:]
+                return
+            entry = succ[i]
+            if entry is None:
+                entry = succ[i] = self._rollout_entry(seq, p)
+            ids, cum, total, succ = entry
+        seq.append(ids[bisect_right(cum, random() * total)])
+
+    def _rollout_entry(self, seq: Sequence[int], p: float) -> tuple:
+        """The rollout entry after ``seq``: ``(ids, cum, total, successors)``."""
+        key = (self._context(seq), p)
+        entry = self._entries.get(key)
+        if entry is None:
+            ids, _, cum = self.nucleus(seq, p)
+            entry = self._entries[key] = (ids + ids[-1:], cum + [math.inf], cum[-1], [None] * (len(ids) + 1))
+        return entry
 
     def top_k(self, prefix: Sequence[int], k: int) -> tuple[list[int], list[float]]:
         """Cached per context and ``k``; the returned objects are shared."""

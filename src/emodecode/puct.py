@@ -24,7 +24,7 @@ import numpy as np
 from .emotion import EmotionQuadrant, argmax_quadrant
 from .errors import SequenceTooShort, TerminalNode
 from .models.base import Discriminator, EmotionClassifier, EvaluatorBudget, Policy
-from .models.sampling import sample_index
+from .models.sampling import sample_index, uniform_stream
 
 
 @dataclass
@@ -280,7 +280,7 @@ def decode_piece(
     iterations, so each decision costs the same number of emotion-model and
     discriminator calls.  Generation stops at EndOfMusic, at ``max_bars``
     bar lines, or at ``max_tokens``; the sequence is then closed so it
-    always validates.
+    always validates.  Every uniform is read from ``uniform_stream(rng)``.
     """
     trace = DecodeTrace(method="puct", start=list(start))
 
@@ -288,8 +288,8 @@ def decode_piece(
         root = expand(seq, policy, cfg)
         ids, priors, _ = policy.nucleus(seq, cfg.top_p)  # shared with the root's edges
         for _ in range(cfg.budget):
-            search_step(root, seq, policy, classifier, discriminator, cfg, trace, rng)
-        token, _ = choose_token(root, rng)
+            search_step(root, seq, policy, classifier, discriminator, cfg, trace, stream)
+        token, _ = choose_token(root, stream)
         trace.records.append(
             {
                 "step": len(trace.records),
@@ -306,4 +306,5 @@ def decode_piece(
         return token
 
     rule = StopRule(policy.vocab, cfg.max_bars, cfg.max_tokens)
-    return _emit(start, rule, next_token), trace
+    with uniform_stream(rng) as stream:
+        return _emit(start, rule, next_token), trace

@@ -403,6 +403,52 @@ class TestConfigFile:
         assert cli.main(args) == 2
         assert "temperature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, text",
+        [
+            ("puct", "budget", "2.5"),
+            ("puct", "rollout_cap", "1.5"),
+            ("common", "count", "1.5"),
+            ("sbbs", "beams", "2.5"),
+            ("common", "top_p", "'0.9'"),
+            ("common", "max_tokens", "true"),
+            ("puct", "exploration_c", "false"),
+            ("common", "seed", "[1, 2]"),
+        ],
+    )
+    def test_value_of_the_wrong_type_is_data_error(self, workspace, tmp_path, capsys, section, key, text):
+        _, _, models = workspace
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"{section}:\n  {key}: {text}\n")
+        method = section if section != "common" else "puct"
+        out = tmp_path / "out"
+        args = ["generate", "--models", str(models), "--config", str(config),
+                "--method", method, "--out", str(out)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_int_stands_for_a_float(self, workspace, tmp_path):
+        _, _, models = workspace
+        config = tmp_path / "cfg.yaml"
+        config.write_text("common:\n  top_p: 1\n  max_bars: 2\npuct:\n  budget: 2\n  exploration_c: 0\n")
+        out = tmp_path / "out"
+        args = ["generate", "--models", str(models), "--config", str(config),
+                "--emotion", "e1", "--out", str(out)]
+        assert cli.main(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["top_p"] == 1 and manifest["config"]["exploration_c"] == 0
+
+    def test_section_that_is_not_a_mapping_is_data_error(self, workspace, tmp_path, capsys):
+        _, _, models = workspace
+        config = tmp_path / "cfg.yaml"
+        config.write_text("common: [budget, 4]\n")
+        args = ["generate", "--models", str(models), "--config", str(config),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(args) == 2
+        assert "[common]" in capsys.readouterr().err
+
     def test_unparseable_yaml_is_data_error(self, workspace, tmp_path):
         _, _, models = workspace
         config = tmp_path / "cfg.yaml"

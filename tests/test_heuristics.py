@@ -363,6 +363,33 @@ class TestCheckDistribution:
         assert check_distribution(vec) is vec
 
 
+class TestArgmaxQuadrant:
+    @pytest.mark.parametrize(
+        "vec",
+        [
+            [0.25, 0.25, 0.25, 0.25],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.1, 0.4, 0.4, 0.1],
+            [0.1, 0.2, 0.35, 0.35],
+            [0.4, 0.1, 0.1, 0.4],
+            [0.0, -0.0, 0.0, 0.0],
+            [-0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ],
+    )
+    def test_ties_go_to_the_first_maximum_as_in_numpy(self, vec):
+        want = ALL_QUADRANTS[int(np.argmax(vec))]
+        assert argmax_quadrant(np.array(vec)) is want
+        assert argmax_quadrant(vec) is want
+
+    def test_matches_numpy_on_random_vectors(self):
+        rng = np.random.default_rng(12)
+        for vec in rng.dirichlet(np.ones(4), size=500):
+            assert argmax_quadrant(vec) is ALL_QUADRANTS[int(np.argmax(vec))]
+        for vec in rng.integers(0, 3, size=(200, 4)) / 4.0:  # many ties
+            assert argmax_quadrant(vec) is ALL_QUADRANTS[int(np.argmax(vec))]
+
+
 class TestClassifier:
     def test_recovers_every_corpus_label(self, fitted, steering_corpus):
         classifier, _ = fitted

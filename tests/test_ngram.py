@@ -13,7 +13,7 @@ from emodecode.remi.tokens import VOCAB, Token
 
 from conftest import style_tokens
 from doubles import UniformPolicy, perplexity
-from reference import naive_ngram_distribution
+from reference import ScriptedRNG, naive_ngram_distribution
 
 # every length-2 context occurs exactly once, so greedy decoding replays it
 MEMO_SEQ = VOCAB.encode(
@@ -254,6 +254,42 @@ class TestRollout:
             assert policy._nuclei.keys() == generic._nuclei.keys()
         if cap == 64:  # long enough to reach a bar line: both stops occur
             assert VOCAB.bar_id in last and VOCAB.end_id in last
+
+    @pytest.mark.parametrize("u", [1.0, 0.9999999999999999])
+    def test_a_draw_at_the_total_takes_the_last_id(self, u):
+        # u * total == total only for u == 1.0 (a scripted stream); it lands on the sentinel
+        policy = NGramPolicy(VOCAB, order=3).fit(ROLLOUT_CORPUS)
+        generic = NGramPolicy(VOCAB, order=3).fit(ROLLOUT_CORPUS)
+        for seq in ROLLOUT_CORPUS[:4]:
+            for cut in (1, 5, len(seq) // 2):
+                ours, theirs = seq[:cut], seq[:cut]
+                rng_ours, rng_theirs = ScriptedRNG([u] * 16), ScriptedRNG([u] * 16)
+                policy.rollout(ours, 0.9, 16, rng_ours, ROLLOUT_STOPS)
+                Policy.rollout(generic, theirs, 0.9, 16, rng_theirs, ROLLOUT_STOPS)
+                assert ours == theirs
+                assert rng_ours.consumed == rng_theirs.consumed
+                for i in range(cut, len(ours)):
+                    assert ours[i] == policy.nucleus(ours[:i], 0.9)[0][-1]
+
+    def test_a_second_fit_serves_the_new_nuclei(self):
+        first, second = ROLLOUT_CORPUS[:6], ROLLOUT_CORPUS[6:]  # E1 and E2, then E3 and E4
+        policy = NGramPolicy(VOCAB, order=3).fit(first)
+        fresh = NGramPolicy(VOCAB, order=3).fit(second)
+        prefixes = [[VOCAB.start_id]] + [seq[:cut] for seq in ROLLOUT_CORPUS[::3] for cut in (2, 6, 11)]
+        stale = []
+        for i, prefix in enumerate(prefixes):  # fill every cache and link from the first corpus
+            stale.append(list(prefix))
+            policy.rollout(stale[-1], 0.9, 64, np.random.default_rng(i), ROLLOUT_STOPS)
+        policy.fit(second)
+        differs = False
+        for i, prefix in enumerate(prefixes):
+            ours, theirs = list(prefix), list(prefix)
+            policy.rollout(ours, 0.9, 64, np.random.default_rng(i), ROLLOUT_STOPS)
+            Policy.rollout(fresh, theirs, 0.9, 64, np.random.default_rng(i), ROLLOUT_STOPS)
+            assert ours == theirs
+            differs = differs or ours != stale[i]
+        assert differs
+        assert policy._nuclei.keys() == fresh._nuclei.keys()
 
     def test_cap_zero_draws_nothing(self):
         policy = NGramPolicy(VOCAB, order=3).fit(ROLLOUT_CORPUS)
