@@ -28,20 +28,9 @@ from .corpus import (
     load_labels,
 )
 from .emotion import ALL_QUADRANTS, EmotionQuadrant, argmax_quadrant
-from .errors import (
-    EmodecodeError,
-    EmptyCorpus,
-    GrammarError,
-    LabelMismatch,
-    MalformedMidi,
-    ManifestSchemaError,
-    NotFitted,
-    NoValidFiles,
-    SequenceTooShort,
-    UntrainedCondition,
-)
-from .manifest import build_manifest, dump_manifest, load_manifest
-from .metrics import COLUMNS, compare_table, piece_metrics
+from .errors import DataError, EmodecodeError, NoValidFiles, SequenceTooShort
+from .manifest import build_manifest, checked_aggregates, dump_manifest, load_manifest
+from .metrics import compare_table, piece_metrics
 from .models.base import EvaluatorBudget
 from .models.heuristic import HeuristicDiscriminator, HeuristicEmotionClassifier
 from .models.ngram import NGramPolicy, with_emotion_prefix
@@ -69,15 +58,7 @@ def _field_defaults(*classes) -> dict:
 DEFAULTS = {**_field_defaults(DecodeConfig, SBBSConfig, SamplingConfig), "count": 1, "seed": 0}
 
 _DATA_ERRORS = (
-    NoValidFiles,
-    LabelMismatch,
-    ManifestSchemaError,
-    MalformedMidi,
-    GrammarError,
-    UntrainedCondition,
-    EmptyCorpus,
-    SequenceTooShort,
-    NotFitted,
+    DataError,
     FileNotFoundError,
     NotADirectoryError,
     IsADirectoryError,
@@ -210,16 +191,6 @@ def _piece_metrics(seq, piece, target, classifier, discriminator, eval_budget) -
     return metrics
 
 
-def _aggregate(records: list[dict]) -> dict:
-    by_emotion: dict[str, list[dict]] = {}
-    for record in records:
-        by_emotion.setdefault(record["emotion"], []).append(record["metrics"])
-    return {
-        emotion: {key: float(np.mean([r[piece_key] for r in rows])) for key, _, piece_key in COLUMNS}
-        for emotion, rows in by_emotion.items()
-    }
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     method = args.method
     cfg = merged_config(args, method)
@@ -233,7 +204,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     start = [VOCAB.start_id]
     records = []
-    search_budget = {"e_calls": 0, "d_calls": 0}
+    search_budget = EvaluatorBudget()
     eval_budget = EvaluatorBudget()
     for quadrant in _requested_emotions(args.emotion):
         for index in range(cfg["count"]):
@@ -242,8 +213,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             seq, trace = _decode_one(
                 method, start, policy, classifier, discriminator, cfg, quadrant, rng
             )
-            search_budget["e_calls"] += trace.e_calls
-            search_budget["d_calls"] += trace.d_calls
+            search_budget.e_calls += trace.e_calls
+            search_budget.d_calls += trace.d_calls
             stem = f"{quadrant.name}_{index:03d}"
             tokens = VOCAB.decode(seq)
             piece = tokens_to_piece(tokens)
@@ -274,37 +245,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
         config=config_echo,
         seed=int(cfg["seed"]),
         pieces=records,
-        aggregates=_aggregate(records),
-        budget=search_budget,
+        budget=vars(search_budget),
     )
     dump_manifest(manifest, out / "manifest.json")
     print(f"wrote {len(records)} pieces and manifest.json to {out}")
     return 0
 
 
-_PIECE_METRICS = {piece_key for _, _, piece_key in COLUMNS}
-_QUADRANT_NAMES = tuple(q.name for q in ALL_QUADRANTS)  # a tuple: a list or dict emotion is not hashable
-
-
 def _recomputed_aggregates(manifest: dict) -> dict:
-    """Re-derive aggregates from recorded token ids; flag stale manifests."""
-    checked = []
-    for i, entry in enumerate(manifest["pieces"]):
-        ids, metrics = entry["token_ids"], entry["metrics"]
-        if not all(type(t) is int and 0 <= t < VOCAB.vocab_size for t in ids):
-            raise ManifestSchemaError(f"piece {i} token_ids must be ids from 0 to {VOCAB.vocab_size - 1}")
-        if not isinstance(metrics, dict) or not all(
-            type(metrics.get(key)) in (int, float) for key in _PIECE_METRICS
-        ):
-            raise ManifestSchemaError(f"piece {i} metrics need a number for each of {sorted(_PIECE_METRICS)}")
-        if entry["emotion"] not in _QUADRANT_NAMES:
-            raise ManifestSchemaError(f"piece {i} emotion {entry['emotion']!r} is not one of E1 to E4")
-        recomputed = piece_metrics(tokens_to_piece(VOCAB.decode(ids)))
-        for key, value in recomputed.items():
-            if abs(value - float(metrics[key])) > 1e-9:
-                raise ManifestSchemaError(f"piece {i} {key} is {value}, manifest records {metrics[key]}")
-        checked.append({"emotion": entry["emotion"], "metrics": {**metrics, **recomputed}})
-    return _aggregate(checked)
+    """Aggregates re-derived from each piece's token ids; a stale manifest is rejected."""
+    recomputed = [piece_metrics(tokens_to_piece(VOCAB.decode(e["token_ids"]))) for e in manifest["pieces"]]
+    return checked_aggregates(manifest, recomputed)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -326,9 +277,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         manifest = load_manifest(path)
         aggregates = _recomputed_aggregates(manifest)
         report = {"method": manifest["method"], "aggregates": aggregates}
-        shim = dict(manifest)
-        shim["aggregates"] = aggregates
-        print(compare_table({manifest["method"]: shim}, require_all_emotions=False))
+        print(compare_table({manifest["method"]: aggregates}, require_all_emotions=False))
     if args.out:
         text = json.dumps(report, sort_keys=True, indent=2)
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -336,17 +285,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    manifests: dict[str, dict] = {}
+    aggregates: dict[str, dict] = {}
     for source in args.manifests:
         manifest = load_manifest(source)
         label = manifest["method"]
-        if label in manifests:
+        if label in aggregates:
             label = f"{label}:{Path(source).stem}"
-        manifests[label] = manifest
-    print(compare_table(manifests))
+        aggregates[label] = manifest["aggregates"]
+    print(compare_table(aggregates))
     if args.out:
-        report = {label: m["aggregates"] for label, m in manifests.items()}
-        text = json.dumps(report, sort_keys=True, indent=2)
+        text = json.dumps(aggregates, sort_keys=True, indent=2)
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     return 0
 

@@ -5,7 +5,11 @@ class EmodecodeError(Exception):
     """Base class for package errors."""
 
 
-class GrammarError(EmodecodeError):
+class DataError(EmodecodeError):
+    """Bad input data (corpus, labels, MIDI, model files, manifests); the CLI exits 2."""
+
+
+class GrammarError(DataError):
     """A token sequence breaks the REMI transition rules.
 
     ``index`` points at the first offending token; a sequence that stops
@@ -17,7 +21,7 @@ class GrammarError(EmodecodeError):
         super().__init__(message or f"grammar violation at token {index}")
 
 
-class MalformedMidi(EmodecodeError):
+class MalformedMidi(DataError):
     """A MIDI file could not be parsed. ``offset`` is the byte position."""
 
     def __init__(self, message: str, offset: int):
@@ -25,7 +29,7 @@ class MalformedMidi(EmodecodeError):
         super().__init__(f"{message} (byte offset {offset})")
 
 
-class SequenceTooShort(EmodecodeError):
+class SequenceTooShort(DataError):
     """An evaluator needs at least one completed bar."""
 
 
@@ -33,15 +37,15 @@ class TerminalNode(EmodecodeError):
     """Tried to expand a prefix that already ends the piece."""
 
 
-class UntrainedCondition(EmodecodeError):
+class UntrainedCondition(DataError):
     """The requested control token never occurred in training data."""
 
 
-class NotFitted(EmodecodeError):
+class NotFitted(DataError):
     """A model was used before ``fit()`` or ``load()``."""
 
 
-class EmptyCorpus(EmodecodeError):
+class EmptyCorpus(DataError):
     """Training was attempted on zero sequences."""
 
 
@@ -49,15 +53,15 @@ class EmptyPiece(EmodecodeError):
     """A note-level metric needs at least one note."""
 
 
-class NoValidFiles(EmodecodeError):
+class NoValidFiles(DataError):
     """An ingest run produced no usable pieces."""
 
 
-class LabelMismatch(EmodecodeError):
+class LabelMismatch(DataError):
     """A label file does not line up with the corpus it annotates."""
 
 
-class ManifestSchemaError(EmodecodeError):
+class ManifestSchemaError(DataError):
     """A run manifest is missing required fields or is inconsistent."""
 
 

@@ -66,50 +66,32 @@ COLUMNS = (
 )
 
 
-def _check_aggregates(manifest: dict, require_all_emotions: bool) -> dict[str, dict[str, float]]:
-    if not isinstance(manifest, dict) or "aggregates" not in manifest:
-        raise ManifestSchemaError("manifest has no aggregates section")
-    aggregates = manifest["aggregates"]
-    if not isinstance(aggregates, dict):
-        raise ManifestSchemaError("aggregates must be a mapping")
-    names = {q.name for q in ALL_QUADRANTS}
-    for emotion, row in aggregates.items():
-        if emotion not in names:
-            raise ManifestSchemaError(f"unknown emotion key {emotion!r}")
-        missing = [key for key, _, _ in COLUMNS if key not in row]
-        if missing:
-            raise ManifestSchemaError(f"{emotion} aggregates missing {missing}")
-    absent = sorted(names - aggregates.keys())
-    if absent and require_all_emotions:
-        raise ManifestSchemaError(f"manifest missing emotion {', '.join(absent)}")
-    return aggregates
-
-
 def _format_cell(key: str, value: float) -> str:
     if key in ("emotion_rate", "discriminator_rate"):
         return f"{round(value * 100):.0f}%"
     return f"{value:.2f}"
 
 
-def compare_table(manifests: dict[str, dict], require_all_emotions: bool = True) -> str:
+def compare_table(aggregates: dict[str, dict], require_all_emotions: bool = True) -> str:
     """Render per-method metric rows against per-emotion columns.
 
-    `manifests` maps a method label to a parsed run manifest.  Raises
-    ManifestSchemaError when a manifest lacks the aggregate metrics or
-    (unless `require_all_emotions` is off) skips a quadrant.
+    `aggregates` maps a method label to the aggregates of a validated run
+    manifest.  Raises ManifestSchemaError when there are none or (unless
+    `require_all_emotions` is off) a method skips a quadrant.
     """
-    if not manifests:
+    if not aggregates:
         raise ManifestSchemaError("no manifests to compare")
-    per_method = {
-        label: _check_aggregates(m, require_all_emotions) for label, m in manifests.items()
-    }
     emotions = [q.name for q in ALL_QUADRANTS]
+    for by_emotion in aggregates.values():
+        absent = [e for e in emotions if e not in by_emotion]
+        if absent and require_all_emotions:
+            raise ManifestSchemaError(f"manifest missing emotion {', '.join(absent)}")
     header = ["method", "metric", *emotions]
     rows: list[list[str]] = []
-    for label, aggregates in per_method.items():
+    for label, by_emotion in aggregates.items():
         for key, metric_label, _ in COLUMNS:
             cells = [
-                _format_cell(key, float(aggregates[e][key])) if e in aggregates else "-"
+                _format_cell(key, float(by_emotion[e][key])) if e in by_emotion else "-"
                 for e in emotions
             ]
             rows.append([label, metric_label, *cells])

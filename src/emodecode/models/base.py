@@ -47,6 +47,12 @@ def read_tagged(path: str | Path, tag: str, keys: Sequence[str]) -> dict:
     return payload
 
 
+def write_tagged(path: str | Path, tag: str, payload: dict) -> None:
+    """Save ``payload`` to ``path`` under format ``tag`` as compact, key-sorted JSON."""
+    text = json.dumps({"format": tag, **payload}, sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n")
+
+
 def float_vector(path: str | Path, payload: dict, key: str, size: int) -> np.ndarray:
     """``payload[key]`` as ``size`` finite float64s; ValueError naming ``path`` otherwise."""
     try:

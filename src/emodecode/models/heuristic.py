@@ -22,7 +22,6 @@ decoded ids.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -32,7 +31,7 @@ import numpy as np
 from ..errors import EmptyCorpus, NotFitted
 from ..remi.tokens import KIND_PAIR_LEGAL, N_DURATION_BINS, TokenKind, Vocabulary
 from ..remi.piece import bpm_of_bin, DEFAULT_BPM
-from .base import BarPrefixMixin, Discriminator, EmotionClassifier, float_vector, read_tagged
+from .base import BarPrefixMixin, Discriminator, EmotionClassifier, float_vector, read_tagged, write_tagged
 
 EMOTION_FORMAT_TAG = "emotion-heuristic-v1"
 DISCRIMINATOR_FORMAT_TAG = "discriminator-heuristic-v1"
@@ -225,12 +224,11 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
 
     def save(self, path: str | Path) -> None:
         self._require_fitted()
-        payload = {
-            "format": EMOTION_FORMAT_TAG,
-            "means": [float(x) for x in self.means_],
-            "stds": [float(x) for x in self.stds_],
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        write_tagged(
+            path,
+            EMOTION_FORMAT_TAG,
+            {"means": [float(x) for x in self.means_], "stds": [float(x) for x in self.stds_]},
+        )
 
     @classmethod
     def load(cls, path: str | Path, vocab: Vocabulary) -> "HeuristicEmotionClassifier":
@@ -297,11 +295,7 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
     def save(self, path: str | Path) -> None:
         if self.duration_hist_ is None:
             raise NotFitted("discriminator must be fit() or load()ed before use")
-        payload = {
-            "format": DISCRIMINATOR_FORMAT_TAG,
-            "duration_hist": [float(x) for x in self.duration_hist_],
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        write_tagged(path, DISCRIMINATOR_FORMAT_TAG, {"duration_hist": [float(x) for x in self.duration_hist_]})
 
     @classmethod
     def load(cls, path: str | Path, vocab: Vocabulary) -> "HeuristicDiscriminator":

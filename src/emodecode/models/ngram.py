@@ -1,7 +1,6 @@
 """Count-based n-gram policy with add-k smoothing and short-context backoff."""
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from pathlib import Path
@@ -12,7 +11,7 @@ import numpy as np
 from ..emotion import EmotionQuadrant
 from ..errors import EmptyCorpus, NotFitted
 from ..remi.tokens import Vocabulary
-from .base import Policy, read_tagged
+from .base import Policy, read_tagged, write_tagged
 
 FORMAT_TAG = "ngram-policy-v1"
 
@@ -28,12 +27,12 @@ class NGramPolicy(Policy):
     those two.
 
     Rollouts walk a table of successor-linked nuclei, one entry per
-    ``(context, p)``: the ids and cumulative masses, each with a sentinel
-    (the last id repeated, ``math.inf``) that stands in for clamping the
-    drawn index, and one successor slot per index.  A slot is filled with
-    the next context's entry the first time its id is drawn, so a warm step
-    costs one uniform, one ``bisect`` and one list index.  ``fit`` empties
-    every cache, the table included.
+    ``(context, p)``: the nucleus's own ids and cumulative masses (shared,
+    not copied), the last index, which bounds the ``bisect`` so that a draw
+    at the total mass takes the last id, the total mass, and one successor
+    slot per id.  A slot is filled with the next context's entry the first
+    time its id is drawn, so a warm step costs one uniform, one ``bisect``
+    and one list index.  ``fit`` empties every cache, the table included.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3, add_k: float = 0.01):
@@ -104,10 +103,10 @@ class NGramPolicy(Policy):
         """
         if cap < 1:
             return
-        ids, cum, total, succ = self._rollout_entry(seq, p)
+        ids, cum, last, total, succ = self._rollout_entry(seq, p)
         random = rng.random
         for _ in range(cap - 1):
-            i = bisect_right(cum, random() * total)
+            i = bisect_right(cum, random() * total, 0, last)
             tok = ids[i]
             seq.append(tok)
             if tok in stops:
@@ -115,16 +114,16 @@ class NGramPolicy(Policy):
             entry = succ[i]
             if entry is None:
                 entry = succ[i] = self._rollout_entry(seq, p)
-            ids, cum, total, succ = entry
-        seq.append(ids[bisect_right(cum, random() * total)])
+            ids, cum, last, total, succ = entry
+        seq.append(ids[bisect_right(cum, random() * total, 0, last)])
 
     def _rollout_entry(self, seq: Sequence[int], p: float) -> tuple:
-        """The rollout entry after ``seq``: ``(ids, cum, total, successors)``."""
+        """The rollout entry after ``seq``: ``(ids, cum, last index, total, successors)``."""
         key = (self._context(seq), p)
         entry = self._entries.get(key)
         if entry is None:
             ids, _, cum = self.nucleus(seq, p)
-            entry = self._entries[key] = (ids + ids[-1:], cum + [math.inf], cum[-1], [None] * (len(ids) + 1))
+            entry = self._entries[key] = (ids, cum, len(ids) - 1, cum[-1], [None] * len(ids))
         return entry
 
     def top_k(self, prefix: Sequence[int], k: int) -> tuple[list[int], list[float]]:
@@ -158,7 +157,6 @@ class NGramPolicy(Policy):
     def save(self, path: str | Path) -> None:
         counts = self._require_fitted()
         payload = {
-            "format": FORMAT_TAG,
             "order": self.order,
             "add_k": self.add_k,
             "vocab_size": self.vocab.vocab_size,
@@ -170,7 +168,7 @@ class NGramPolicy(Policy):
                 for o, table in counts.items()
             },
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        write_tagged(path, FORMAT_TAG, payload)
 
     @classmethod
     def load(cls, path: str | Path, vocab: Vocabulary) -> "NGramPolicy":

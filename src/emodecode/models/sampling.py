@@ -50,13 +50,14 @@ def sample_cumulative(rng, cum: Sequence[float]) -> int:
     """Draw one index given the cumulative sums of its weights.
 
     ``cum`` is a list or an array; ``bisect_right`` finds the same index
-    as ``searchsorted(side="right")`` on the same floats.
+    as ``searchsorted(side="right")`` on the same floats, and searching
+    all but the last entry clamps a draw at the total to the last index.
     """
     total = cum[-1]
     if total <= 0.0:
         raise ValueError("cannot sample from all-zero weights")
     u = rng.random() * total
-    return min(bisect_right(cum, u), len(cum) - 1)
+    return bisect_right(cum, u, 0, len(cum) - 1)
 
 
 @contextmanager

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from emodecode import cli
+from emodecode import cli, errors
 from emodecode.baselines import SamplingConfig, SBBSConfig
 from emodecode.corpus import (
     corpus_sequences,
@@ -551,6 +551,41 @@ class TestCompareCommand:
         assert cli.main(args) == 2
         assert "E2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda piece: piece["token_ids"].append(9999), "piece 1 token_ids must be ids from 0 to 246"),
+            (lambda piece: piece.update(emotion="E9"), "piece 1 emotion 'E9' is not one of E1 to E4"),
+        ],
+        ids=["id-too-large", "unknown-emotion"],
+    )
+    def test_malformed_piece_is_data_error(self, run_dir, tmp_path, capsys, damage, message):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        damage(manifest["pieces"][1])
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        assert cli.main(["compare", str(run_dir / "manifest.json"), str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
+
+# every EmodecodeError class in errors.py -> the CLI's exit code for it:
+# 2 for bad input data, 3 for a broken internal invariant
+ERROR_EXIT_CODES = {
+    "EmodecodeError": 3,
+    "DataError": 2,
+    "GrammarError": 2,
+    "MalformedMidi": 2,
+    "SequenceTooShort": 2,
+    "TerminalNode": 3,
+    "UntrainedCondition": 2,
+    "NotFitted": 2,
+    "EmptyCorpus": 2,
+    "EmptyPiece": 3,
+    "NoValidFiles": 2,
+    "LabelMismatch": 2,
+    "ManifestSchemaError": 2,
+}
+
 
 class TestMainSurface:
     def test_no_command_is_usage_error(self):
@@ -567,6 +602,25 @@ class TestMainSurface:
     def test_missing_path_is_data_error(self, tmp_path, capsys):
         assert cli.main(["ingest", str(tmp_path / "absent")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, code", sorted(ERROR_EXIT_CODES.items()))
+    def test_package_error_exit_code(self, monkeypatch, capsys, name, code):
+        cls = getattr(errors, name)
+
+        def fail(args):
+            raise cls.__new__(cls)
+
+        monkeypatch.setattr(cli, "cmd_ingest", fail)
+        assert cli.main(["ingest", "anywhere"]) == code
+        assert capsys.readouterr().err.startswith("error:" if code == 2 else "internal error:")
+
+    def test_every_package_error_has_an_exit_code(self):
+        classes = {
+            name
+            for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, errors.EmodecodeError)
+        }
+        assert classes == set(ERROR_EXIT_CODES)
 
     def test_debug_logging_smoke(self, workspace, tmp_path, monkeypatch):
         _, corpus, _ = workspace

@@ -257,7 +257,7 @@ class TestRollout:
 
     @pytest.mark.parametrize("u", [1.0, 0.9999999999999999])
     def test_a_draw_at_the_total_takes_the_last_id(self, u):
-        # u * total == total only for u == 1.0 (a scripted stream); it lands on the sentinel
+        # u * total == total only for u == 1.0 (a scripted stream); the bounded bisect clamps it
         policy = NGramPolicy(VOCAB, order=3).fit(ROLLOUT_CORPUS)
         generic = NGramPolicy(VOCAB, order=3).fit(ROLLOUT_CORPUS)
         for seq in ROLLOUT_CORPUS[:4]:
