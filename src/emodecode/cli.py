@@ -137,15 +137,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    sequences = corpus_sequences(corpus)
+    # the corpus is parsed once, and a bad label file fails before any model is written
+    if args.labels:
+        pairs = labeled_sequences(corpus, load_labels(args.labels))
+        sequences = [seq for seq, _ in pairs]
+    else:
+        pairs, sequences = [], corpus_sequences(corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     NGramPolicy(VOCAB, order=args.order, add_k=args.add_k).fit(sequences).save(out / "policy.json")
     HeuristicEmotionClassifier(VOCAB).fit(sequences).save(out / "classifier.json")
     HeuristicDiscriminator(VOCAB).fit(sequences).save(out / "discriminator.json")
     written = ["policy.json", "classifier.json", "discriminator.json"]
-    if args.labels:
-        pairs = labeled_sequences(corpus, load_labels(args.labels))
+    if pairs:
         prefixed = [with_emotion_prefix(seq, quadrant, VOCAB) for seq, quadrant in pairs]
         NGramPolicy(VOCAB, order=args.order, add_k=args.add_k).fit(prefixed).save(
             out / "conditional.json"

@@ -14,7 +14,7 @@ from .emotion import EmotionQuadrant
 from .errors import LabelMismatch, MalformedMidi, MeterImportWarning, NoValidFiles
 from .remi.midi import read_midi
 from .remi.piece import piece_to_tokens
-from .remi.tokens import VOCAB, Token, Vocabulary
+from .remi.tokens import VOCAB, Vocabulary
 
 FORMAT_TAG = "remi-corpus-v1"
 
@@ -39,8 +39,8 @@ def ingest_directory(directory: str | Path) -> dict:
         except MalformedMidi as exc:
             warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
             continue
-        tokens = piece_to_tokens(piece)
-        pieces.append({"source": path.name, "tokens": [t.to_text() for t in tokens]})
+        ids = VOCAB.encode(piece_to_tokens(piece))
+        pieces.append({"source": path.name, "tokens": [VOCAB.texts[i] for i in ids]})
     if not pieces:
         raise NoValidFiles(f"no usable MIDI files in {directory}")
     return {"format": FORMAT_TAG, "pieces": pieces}
@@ -62,10 +62,7 @@ def load_corpus(path: str | Path) -> dict:
 
 def corpus_sequences(corpus: dict, vocab: Vocabulary = VOCAB) -> list[list[int]]:
     """Token-id sequences for every piece, in corpus order."""
-    return [
-        vocab.encode([Token.from_text(t) for t in piece["tokens"]])
-        for piece in corpus["pieces"]
-    ]
+    return [vocab.encode_text(piece["tokens"]) for piece in corpus["pieces"]]
 
 
 def load_labels(path: str | Path) -> dict[str, EmotionQuadrant]:

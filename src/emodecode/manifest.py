@@ -7,7 +7,8 @@ host details are recorded.  Re-running with the recorded config and seed
 must reproduce the recorded token ids exactly.
 
 This module owns the manifest's schema and its aggregates:
-``validate_manifest`` holds every check, and ``dump_manifest`` and
+``validate_manifest`` holds every check, including that the recorded
+aggregates are those of the recorded pieces, and ``dump_manifest`` and
 ``load_manifest`` are the two places that run it.
 """
 from __future__ import annotations
@@ -128,6 +129,16 @@ def validate_manifest(manifest: dict) -> None:
         missing = _not_numbers(row, _AGGREGATE_KEYS)
         if missing:
             raise ManifestSchemaError(f"{emotion} aggregates missing {missing}")
+    # the recorded aggregates are what `compare` prints: they must be the pieces' own
+    derived = _aggregate(manifest["pieces"])
+    if aggregates.keys() != derived.keys():
+        raise ManifestSchemaError(f"aggregates cover {sorted(aggregates)}, the pieces {sorted(derived)}")
+    for emotion, row in derived.items():
+        for key, value in row.items():
+            if abs(aggregates[emotion][key] - value) > 1e-9:
+                raise ManifestSchemaError(
+                    f"{emotion} aggregates {key} is {aggregates[emotion][key]}, its pieces give {value}"
+                )
 
 
 def dump_manifest(manifest: dict, path: str | Path) -> None:

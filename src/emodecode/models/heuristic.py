@@ -9,15 +9,17 @@ entropy and how plausible the duration histogram looks next to the corpus.
 Both read only a few integer sums of a sequence (``_Features``), and in a
 tree search those repeat far more often than whole sequences do.  So each
 model memoises its output on the features it reads: the classifier's
-distribution on (tempo, density, velocity, pitch-class histogram), the
-discriminator's realness on (validity, pitch-class histogram, duration
-histogram).  A memo belongs to one model, is emptied by ``fit`` and starts
-empty in a loaded model; the base ``distribution`` and ``realness`` still
-count every call.  The features are computed in Python, and so is every
-step whose result is bit-identical that way.  ``np.exp``, ``np.dot``,
-``np.log2`` and the sums of more than four terms stay in numpy, because
-Python's ``math`` and summation round differently and would change
-decoded ids.
+distribution on (tempo, density, velocity, pitch-class histogram) and its
+arousal on (tempo, density, velocity), the discriminator's realness on
+(validity, pitch-class histogram, duration histogram) and its duration fit
+on the duration histogram.  A memo belongs to one model, is emptied by
+``fit`` and starts empty in a loaded model; the base ``distribution`` and
+``realness`` still count every call.  The features are computed in Python,
+and so is every step whose result is bit-identical that way: integer
+totals, int/int quotients and sums of at most four terms.  ``np.exp``,
+``np.dot``, ``np.log2`` and the sums of more than four terms stay in
+numpy, because Python's ``math`` and summation round differently and would
+change decoded ids.
 """
 from __future__ import annotations
 
@@ -168,12 +170,15 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
 
     # about 60 KB; in PUCT rollouts a larger memo adds few hits (19% at 1,024 against 16%)
     MEMO_SIZE = 128
+    # about 0.25 MB; hits 50% of its calls on puct_wide and 65% on puct_narrow (seed 1)
+    AROUSAL_MEMO_SIZE = 1024
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self.means_: np.ndarray | None = None
         self.stds_: np.ndarray | None = None
         self._memo = functools.lru_cache(maxsize=self.MEMO_SIZE)(self._distribution)
+        self._arousal = functools.lru_cache(maxsize=self.AROUSAL_MEMO_SIZE)(self._arousal_of)
 
     def fit(self, sequences: Iterable[Sequence[int]]) -> "HeuristicEmotionClassifier":
         rows = []
@@ -186,6 +191,7 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
         self.means_ = arr.mean(axis=0)
         self.stds_ = arr.std(axis=0)
         self._memo.cache_clear()
+        self._arousal.cache_clear()
         return self
 
     def _require_fitted(self):
@@ -198,13 +204,16 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
         return self._valence_arousal(f.tempo, f.density, f.velocity, f.pc_hist)
 
     def _valence_arousal(self, tempo, density, velocity, pc_hist) -> tuple[float, float]:
+        major, minor = _cached_key_correlations(pc_hist)
+        return major - minor, self._arousal(tempo, density, velocity)
+
+    def _arousal_of(self, tempo, density, velocity) -> float:
+        """Weighted z-scores of the three arousal features; memoised per model."""
         z = [
             (x - m) / s if s > 1e-9 else 0.0
             for x, m, s in zip((tempo, density, velocity), self.means_.tolist(), self.stds_.tolist())
         ]
-        arousal = float(np.dot(_AROUSAL_WEIGHTS, z))
-        major, minor = _cached_key_correlations(pc_hist)
-        return major - minor, arousal
+        return float(np.dot(_AROUSAL_WEIGHTS, z))
 
     def _distribution(self, tempo, density, velocity, pc_hist) -> np.ndarray:
         """The read-only quadrant distribution of one feature set; memoised per model."""
@@ -213,7 +222,8 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
         scores = [arousal + valence, arousal - valence, -arousal - valence, -arousal + valence]
         top = max(scores)
         exps = np.exp([x - top for x in scores])
-        dist = exps / exps.sum()
+        a, b, c, d = exps.tolist()
+        dist = exps / (a + b + c + d)  # numpy sums four terms in this order
         dist.flags.writeable = False  # the memo hands the same array to every caller
         return dist
 
@@ -249,11 +259,14 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
 
     # about 0.6 MB, mostly the histogram tuples of its keys; 82% of calls hit on puct_narrow
     MEMO_SIZE = 1024
+    # at most 0.5 MB, the histogram tuples included; hits 19% of its calls on puct_wide (seed 1)
+    FIT_MEMO_SIZE = 1024
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self.duration_hist_: np.ndarray | None = None
         self._memo = functools.lru_cache(maxsize=self.MEMO_SIZE)(self._realness)
+        self._duration_fit = functools.lru_cache(maxsize=self.FIT_MEMO_SIZE)(self._duration_fit_of)
 
     def fit(self, sequences: Iterable[Sequence[int]]) -> "HeuristicDiscriminator":
         hist = np.ones(N_DURATION_BINS, dtype=np.float64)  # add-one smoothing
@@ -265,26 +278,27 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
             raise EmptyCorpus("cannot calibrate on an empty corpus")
         self.duration_hist_ = hist / hist.sum()
         self._memo.cache_clear()
+        self._duration_fit.cache_clear()
         return self
 
     def _realness(self, validity: float, pc_hist: tuple[int, ...], dur_hist: tuple[int, ...]) -> float:
         """Realness of one feature set; memoised per model."""
-        pc = np.array(pc_hist, dtype=np.float64)
-        dur = np.array(dur_hist, dtype=np.float64)
-        total_pc = pc.sum()
-        if total_pc > 0.0:
-            probs = pc[pc > 0.0] / total_pc
+        total_pc = sum(pc_hist)
+        if total_pc > 0:
+            probs = np.array([n / total_pc for n in pc_hist if n > 0])
             entropy = float(-(probs * np.log2(probs)).sum()) / _MAX_PC_ENTROPY
         else:
             entropy = 0.0
-        total_dur = dur.sum()
-        if total_dur > 0.0:
-            fit = float(np.minimum(dur / total_dur, self.duration_hist_).sum())
-        else:
-            fit = 0.0
-        x = (validity, entropy, fit)
+        x = (validity, entropy, self._duration_fit(dur_hist))
         logit = _REALNESS_BIAS + float(np.dot(_REALNESS_WEIGHTS, x))
         return 1.0 / (1.0 + math.exp(-logit))
+
+    def _duration_fit_of(self, dur_hist: tuple[int, ...]) -> float:
+        """Overlap of a duration histogram with the corpus's; memoised per model."""
+        total = sum(dur_hist)
+        if total <= 0:
+            return 0.0
+        return float(np.minimum([n / total for n in dur_hist], self.duration_hist_).sum())
 
     def _evaluate(self, seq: list[int]) -> float:
         if self.duration_hist_ is None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from pathlib import Path
 from typing import Container, Iterable, Sequence
 
@@ -50,22 +51,30 @@ class NGramPolicy(Policy):
         self._entries: dict[tuple[tuple[int, ...], float], tuple] = {}  # rollout entries
 
     def fit(self, sequences: Iterable[Sequence[int]]) -> "NGramPolicy":
-        counts: dict[int, dict[tuple[int, ...], dict[int, int]]] = {
-            o: {} for o in range(1, self.order + 1)
-        }
+        """Count every order's grams, then fold them into ``counts_``.
+
+        A ``Counter`` over the ``zip`` of shifted id lists counts in C.
+        Every position after the first is a target; order ``o`` needs
+        ``o - 1`` ids of context, so order 1 skips position 0 and order
+        ``o`` starts at position ``o - 1``.  Grams keep their first-seen
+        order, so ``counts_`` is built in the order a position-by-position
+        loop would build it.
+        """
+        grams = [Counter() for _ in range(self.order)]
         n_seqs = 0
         for seq in sequences:
             n_seqs += 1
-            for i in range(1, len(seq)):
-                tok = int(seq[i])
-                for o in range(1, self.order + 1):
-                    if i - (o - 1) < 0:
-                        continue
-                    ctx = tuple(int(t) for t in seq[i - (o - 1) : i])
-                    row = counts[o].setdefault(ctx, {})
-                    row[tok] = row.get(tok, 0) + 1
+            ids = list(map(int, seq))
+            grams[0].update(zip(ids[1:]))
+            for o in range(2, self.order + 1):
+                grams[o - 1].update(zip(*(ids[k:] for k in range(o))))
         if n_seqs == 0:
             raise EmptyCorpus("cannot train on zero sequences")
+        counts: dict[int, dict[tuple[int, ...], dict[int, int]]] = {}
+        for o, counter in enumerate(grams, start=1):
+            table = counts[o] = {}
+            for gram, n in counter.items():
+                table.setdefault(gram[:-1], {})[gram[-1]] = n
         self.counts_ = counts
         self._nuclei = {}
         self._top = {}

@@ -31,29 +31,25 @@ def _var_int_bytes(value: int) -> bytes:
     return bytes(reversed(out))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _chunk(data: bytes, pos: int, n: int) -> bytes:
+    """The ``n`` bytes at ``pos``; MalformedMidi at ``pos`` if the file ends first."""
+    if pos + n > len(data):
+        raise MalformedMidi("unexpected end of file", pos)
+    return data[pos : pos + n]
 
-    def read(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MalformedMidi("unexpected end of file", self.pos)
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
 
-    def read_byte(self) -> int:
-        return self.read(1)[0]
-
-    def read_var_int(self) -> int:
-        value = 0
-        for _ in range(4):
-            b = self.read_byte()
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise MalformedMidi("variable-length quantity longer than 4 bytes", self.pos)
+def _var_int(data: bytes, pos: int) -> tuple[int, int]:
+    """The variable-length quantity at ``pos`` and the position after it."""
+    value = 0
+    for _ in range(4):
+        if pos >= len(data):
+            raise MalformedMidi("unexpected end of file", pos)
+        b = data[pos]
+        pos += 1
+        value = (value << 7) | (b & 0x7F)
+        if not b & 0x80:
+            return value, pos
+    raise MalformedMidi("variable-length quantity longer than 4 bytes", pos)
 
 
 def _scale_tick(file_tick: int, division: int) -> int:
@@ -69,14 +65,15 @@ def read_midi(path: str | Path) -> Piece:
     MeterImportWarning but the file is still imported on the 4/4 grid.
     """
     data = Path(path).read_bytes()
-    r = _Reader(data)
-    if r.read(4) != b"MThd":
+    size = len(data)
+    if _chunk(data, 0, 4) != b"MThd":
         raise MalformedMidi("missing MThd header", 0)
-    header_len = struct.unpack(">I", r.read(4))[0]
+    header_len = struct.unpack(">I", _chunk(data, 4, 4))[0]
     if header_len < 6:
-        raise MalformedMidi("header chunk too short", r.pos - 4)
-    fmt, n_tracks, division = struct.unpack(">HHH", r.read(6))
-    r.read(header_len - 6)
+        raise MalformedMidi("header chunk too short", 4)
+    fmt, n_tracks, division = struct.unpack(">HHH", _chunk(data, 8, 6))
+    _chunk(data, 14, header_len - 6)  # the rest of a longer header, skipped
+    pos = 8 + header_len
     if fmt not in (0, 1):
         raise MalformedMidi(f"unsupported SMF format {fmt}", 8)
     if division & 0x8000:
@@ -88,31 +85,37 @@ def read_midi(path: str | Path) -> Piece:
     events: list[tuple[int, int, int, int, int]] = []  # tick, seq, type, pitch, velocity
     tempi: dict[int, float] = {}
     end_tick = 0
-    seq_no = 0
     warned_meter = False
 
+    # bytes are read by index: a short file raises where the old per-byte reads stopped
     for _ in range(n_tracks):
-        if r.read(4) != b"MTrk":
-            raise MalformedMidi("missing MTrk chunk", r.pos - 4)
-        track_len = struct.unpack(">I", r.read(4))[0]
-        track_end = r.pos + track_len
-        if track_end > len(data):
-            raise MalformedMidi("track length runs past end of file", r.pos - 4)
+        if _chunk(data, pos, 4) != b"MTrk":
+            raise MalformedMidi("missing MTrk chunk", pos)
+        track_len = struct.unpack(">I", _chunk(data, pos + 4, 4))[0]
+        pos += 8
+        track_end = pos + track_len
+        if track_end > size:
+            raise MalformedMidi("track length runs past end of file", pos - 4)
         tick = 0
         status = None
-        while r.pos < track_end:
-            tick += r.read_var_int()
-            first = r.read_byte()
-            if first & 0x80:
-                status = first
+        while pos < track_end:
+            delta, pos = _var_int(data, pos)
+            tick += delta
+            if pos >= size:
+                raise MalformedMidi("unexpected end of file", pos)
+            if data[pos] & 0x80:
+                status = data[pos]
+                pos += 1
             elif status is None:
-                raise MalformedMidi("data byte without running status", r.pos - 1)
-            else:
-                r.pos -= 1  # running status: reuse previous status byte
+                raise MalformedMidi("data byte without running status", pos)
+            # else running status: the byte is data for the previous status
             if status == _META:
-                meta_type = r.read_byte()
-                length = r.read_var_int()
-                body = r.read(length)
+                if pos >= size:
+                    raise MalformedMidi("unexpected end of file", pos)
+                meta_type = data[pos]
+                length, pos = _var_int(data, pos + 1)
+                body = _chunk(data, pos, length)
+                pos += length
                 status = None  # meta events cancel running status
                 if meta_type == _META_SET_TEMPO and length == 3:
                     mpqn = int.from_bytes(body, "big")
@@ -131,25 +134,31 @@ def read_midi(path: str | Path) -> Piece:
                 elif meta_type == _META_END_OF_TRACK:
                     end_tick = max(end_tick, tick)
             elif status in _SYSEX:
-                r.read(r.read_var_int())
+                length, pos = _var_int(data, pos)
+                _chunk(data, pos, length)
+                pos += length
                 status = None
             else:
                 kind = status & 0xF0
                 if kind in (_NOTE_OFF, _NOTE_ON):
-                    pitch, velocity = r.read_byte(), r.read_byte()
+                    if pos + 2 > size:
+                        raise MalformedMidi("unexpected end of file", size)
+                    pitch, velocity = data[pos], data[pos + 1]
+                    pos += 2
                     if kind == _NOTE_ON and velocity > 0:
-                        events.append((tick, seq_no, 1, pitch, velocity))
+                        events.append((tick, len(events), 1, pitch, velocity))
                     else:
-                        events.append((tick, seq_no, 0, pitch, 0))
-                    seq_no += 1
+                        events.append((tick, len(events), 0, pitch, 0))
                 elif kind in (0xA0, 0xB0, 0xE0):
-                    r.read(2)
+                    _chunk(data, pos, 2)
+                    pos += 2
                 elif kind in (0xC0, 0xD0):
-                    r.read(1)
+                    _chunk(data, pos, 1)
+                    pos += 1
                 else:
-                    raise MalformedMidi(f"unknown status byte 0x{status:02x}", r.pos - 1)
-        if r.pos != track_end:
-            raise MalformedMidi("event data overran declared track length", r.pos)
+                    raise MalformedMidi(f"unknown status byte 0x{status:02x}", pos - 1)
+        if pos != track_end:
+            raise MalformedMidi("event data overran declared track length", pos)
 
     # pair note-ons with offs over the merged stream; a repeated note-on
     # truncates the note that is still sounding on that pitch
@@ -165,16 +174,18 @@ def read_midi(path: str | Path) -> Piece:
     for pitch, (onset, vel) in active.items():
         raw_notes.append((onset, pitch, max(1, max(end_tick, tail) - onset), vel))
 
-    notes = []
+    # sorted as tuples, the NoteEvent order, before any NoteEvent is built
+    grid_notes = []
     for onset, pitch, dur, vel in raw_notes:
         q_on = _scale_tick(onset, division)
         q_off = _scale_tick(onset + dur, division)
-        notes.append(NoteEvent(q_on, pitch, max(STEP_TICKS, q_off - q_on), min(127, max(1, vel))))
+        grid_notes.append((q_on, pitch, max(STEP_TICKS, q_off - q_on), min(127, max(1, vel))))
+    grid_notes.sort()
 
-    last_onset_bar = max((n.onset // BAR_TICKS for n in notes), default=0)
+    last_onset_bar = grid_notes[-1][0] // BAR_TICKS if grid_notes else 0
     bars = max(1, last_onset_bar + 1, -(-_scale_tick(end_tick, division) // BAR_TICKS))
     return Piece(
-        notes=tuple(sorted(notes)),
+        notes=tuple(NoteEvent(*note) for note in grid_notes),
         tempo_changes=tuple(sorted(tempi.items())),
         bars=bars,
     )

@@ -7,7 +7,8 @@ in 32 bins of 5 bpm starting at 35 (bpm = 30 + 5 * bin).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Sequence
 
 from .tokens import (
@@ -15,6 +16,7 @@ from .tokens import (
     N_DURATION_BINS,
     N_TEMPO_BINS,
     N_VELOCITY_BINS,
+    VOCAB,
     Token,
     TokenKind,
     validate_sequence,
@@ -64,11 +66,16 @@ def _round_to_grid(ticks: int, grid: int) -> int:
     return (ticks + grid // 2) // grid * grid
 
 
-def quantize_note(note: NoteEvent) -> NoteEvent:
+def quantize_note(note: NoteEvent) -> tuple[int, int, int, int]:
+    """The note on the grid as an ``(onset, pitch, duration, velocity)`` tuple.
+
+    A tuple, not a NoteEvent: tuples sort in the same order, without a
+    Python-level comparison per pair.
+    """
     onset = _round_to_grid(note.onset, STEP_TICKS)
     dur_bin = max(1, min(N_DURATION_BINS, (note.duration + STEP_TICKS // 2) // STEP_TICKS))
     vel_bin = max(1, min(N_VELOCITY_BINS, (note.velocity + 2) // 4))
-    return NoteEvent(onset, note.pitch, dur_bin * STEP_TICKS, min(vel_bin * 4, 127))
+    return onset, note.pitch, dur_bin * STEP_TICKS, min(vel_bin * 4, 127)
 
 
 def tempo_bin_of(bpm: float) -> int:
@@ -130,39 +137,43 @@ def piece_to_tokens(piece: Piece) -> list[Token]:
     note-bearing bars are emitted back to back and a piece that ends with
     one or more empty bars keeps exactly one of them.
     """
-    notes = sorted(quantize_note(n) for n in piece.notes)
-    last_bar = max((n.onset // BAR_TICKS for n in notes), default=0)
+    notes = sorted(map(quantize_note, piece.notes))
+    last_bar = notes[-1][0] // BAR_TICKS if notes else 0
     n_bars = max(piece.bars, last_bar + 1)
 
     # tempo tick -> bin, snapped to the grid, last change at a tick wins
     tempi: dict[int, int] = {}
     for tick, bpm in piece.tempo_changes:
         tempi[_round_to_grid(tick, STEP_TICKS)] = tempo_bin_of(bpm)
-    onsets = sorted({n.onset for n in notes})
+    onsets = sorted({n[0] for n in notes})
     tempo_at_onset: dict[int, int] = {}
     for tick in sorted(tempi):
-        target = next((o for o in onsets if o >= tick), None)
-        if target is not None:
-            tempo_at_onset[target] = tempi[tick]
+        i = bisect_left(onsets, tick)  # the first onset at or after the change
+        if i < len(onsets):
+            tempo_at_onset[onsets[i]] = tempi[tick]
 
-    out = [Token.start()]
+    # ids by arithmetic, tokens from the vocabulary's own table: no Token is built
+    base = VOCAB.id_base
+    position, tempo, pitch = base[TokenKind.POSITION], base[TokenKind.TEMPO], base[TokenKind.PITCH]
+    duration, velocity = base[TokenKind.DURATION], base[TokenKind.VELOCITY]
+    out = [VOCAB.start_id]
     i = 0
     while i < len(notes):
-        bar = notes[i].onset // BAR_TICKS
-        bar_end = (bar + 1) * BAR_TICKS
-        out.append(Token.bar())
+        bar = notes[i][0] // BAR_TICKS
+        bar_start, bar_end = bar * BAR_TICKS, (bar + 1) * BAR_TICKS
+        out.append(VOCAB.bar_id)
         prev_onset = None
-        while i < len(notes) and notes[i].onset < bar_end:
-            n = notes[i]
-            out.append(Token.position((n.onset - bar * BAR_TICKS) // STEP_TICKS + 1))
-            if n.onset != prev_onset and n.onset in tempo_at_onset:
-                out.append(Token.tempo(tempo_at_onset[n.onset]))
-            out.append(Token.pitch(n.pitch))
-            out.append(Token.duration(n.duration // STEP_TICKS))
-            out.append(Token.velocity((n.velocity + 2) // 4))
-            prev_onset = n.onset
+        while i < len(notes) and notes[i][0] < bar_end:
+            onset, note_pitch, note_duration, note_velocity = notes[i]
+            out.append(position + (onset - bar_start) // STEP_TICKS + 1)
+            if onset != prev_onset and onset in tempo_at_onset:
+                out.append(tempo + tempo_at_onset[onset])
+            out.append(pitch + note_pitch)
+            out.append(duration + note_duration // STEP_TICKS)
+            out.append(velocity + (note_velocity + 2) // 4)
+            prev_onset = onset
             i += 1
     if not notes or n_bars > last_bar + 1:
-        out.append(Token.bar())
-    out.append(Token.end())
-    return out
+        out.append(VOCAB.bar_id)
+    out.append(VOCAB.end_id)
+    return VOCAB.decode(out)

@@ -172,7 +172,10 @@ class Vocabulary:
     """Fixed id assignment for the 247-token event set.
 
     Ids are dense per kind: START=0, END=1, BAR=2, then POSITION,
-    TEMPO, PITCH, DURATION, VELOCITY, EMOTION blocks in that order.
+    TEMPO, PITCH, DURATION, VELOCITY, EMOTION blocks in that order, so a
+    token's id is ``id_base[kind] + value``.  ``texts`` holds every id's
+    text form, and ``encode_text`` reads ids back from text through one
+    dict lookup per token.
     """
 
     def __init__(self):
@@ -189,6 +192,11 @@ class Vocabulary:
             toks.extend(Token(kind, v) for v in range(lo, hi + 1))
         self.tokens: tuple[Token, ...] = tuple(toks)
         self._ids: dict[Token, int] = {t: i for i, t in enumerate(toks)}
+        self.texts: tuple[str, ...] = tuple(t.to_text() for t in toks)
+        self._text_ids: dict[str, int] = {text: i for i, text in enumerate(self.texts)}
+        self.id_base: dict[TokenKind, int] = {}
+        for i, t in enumerate(toks):
+            self.id_base.setdefault(t.kind, i - t.value)
         self.kind_codes = np.array([int(t.kind) for t in toks], dtype=np.int16)
         self.values = np.array([t.value for t in toks], dtype=np.int16)
 
@@ -196,10 +204,12 @@ class Vocabulary:
         self.end_id = self._ids[Token.end()]
         self.bar_id = self._ids[Token.bar()]
 
-        self._successors: list[np.ndarray] = [
-            np.array(sorted(self._ids[s] for s in grammar_mask(t)), dtype=np.int64)
-            for t in toks
-        ]
+        # the grammar depends only on the kind: one mask per kind, one array per id
+        legal: dict[TokenKind, list[int]] = {}
+        for t in toks:
+            if t.kind not in legal:
+                legal[t.kind] = sorted(self._ids[s] for s in grammar_mask(t))
+        self._successors: list[np.ndarray] = [np.array(legal[t.kind], dtype=np.int64) for t in toks]
 
     @property
     def vocab_size(self) -> int:
@@ -207,6 +217,19 @@ class Vocabulary:
 
     def encode(self, seq: Iterable[Token]) -> list[int]:
         return [self._ids[t] for t in seq]
+
+    def encode_text(self, texts: Sequence[str]) -> list[int]:
+        """Ids of token texts, one dict lookup each.
+
+        An item that is not one of ``self.texts`` (padded text, or no
+        text at all) sends the whole sequence through ``Token.from_text``,
+        which accepts or rejects it as it always has.
+        """
+        table = self._text_ids
+        try:
+            return [table[t] for t in texts]
+        except (KeyError, TypeError):
+            return self.encode([Token.from_text(t) for t in texts])
 
     def decode(self, ids: Iterable[int]) -> list[Token]:
         return [self.tokens[i] for i in ids]

@@ -7,6 +7,7 @@ budget 4) so the whole file stays fast.
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -27,7 +28,7 @@ from emodecode.emotion import EmotionQuadrant
 from emodecode.errors import LabelMismatch, MeterImportWarning, NoValidFiles
 from emodecode.manifest import load_manifest
 from emodecode.puct import DecodeConfig
-from emodecode.remi.tokens import VOCAB
+from emodecode.remi.tokens import VOCAB, Token
 
 GOOD_SOURCES = [f"e{q}_{v}.mid" for q in range(1, 5) for v in range(2)]
 
@@ -94,6 +95,27 @@ class TestIngest:
             assert seq[0] == VOCAB.start_id
             assert seq[-1] == VOCAB.end_id
             assert VOCAB.validate_ids(seq, require_complete=True) is None
+
+
+class TestTokenText:
+    @pytest.mark.parametrize("text", ["NOISE:1", "PITCH:128", "TEMPO:0", "PITCH:x", "", 7, ["PITCH:60"]])
+    def test_bad_text_raises_what_parsing_raises(self, corpus, text):
+        bad = {**corpus, "pieces": [{"source": "x.mid", "tokens": ["START:0", "BAR:0", text]}]}
+        with pytest.raises(Exception) as want:
+            Token.from_text(text)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            corpus_sequences(bad)
+
+    def test_text_outside_the_table_parses_as_before(self):
+        texts = ["START:0", " BAR:0 ", "POSITION:01", "PITCH:+60\n", "PITCH:", "END"]
+        assert VOCAB.encode_text(texts) == VOCAB.encode([Token.from_text(t) for t in texts])
+        assert VOCAB.encode_text(VOCAB.texts) == list(range(VOCAB.vocab_size))
+
+    def test_train_on_bad_text_is_data_error(self, corpus, tmp_path, capsys):
+        bad = {**corpus, "pieces": [{"source": "x.mid", "tokens": ["START:0", "NOISE:1"]}]}
+        dump_corpus(bad, tmp_path / "c.json")
+        assert cli.main(["train", str(tmp_path / "c.json"), "--out", str(tmp_path / "m")]) == 2
+        assert "unknown token kind 'NOISE'" in capsys.readouterr().err
 
 
 class TestLabels:
@@ -189,7 +211,23 @@ def trace_digest(out: Path) -> str:
     return digest.hexdigest()
 
 
+# SHA-256 of every file `ingest` and `train --labels` write for the midi_dir
+# corpus, taken before set-up was made faster: it must stay byte-identical
+SETUP_DIGESTS = {
+    "corpus.json": "d177b6bc2f2acf821c28877bd78cfbbbe664878a9a32cb636b774447eaa87bb7",
+    "models/policy.json": "a57dbd81464de870257aedf0f99a3fb6f3adcf938bd1993dabddcc33da736f6a",
+    "models/conditional.json": "22ffdce8d0c5364a0b8adb0b598786c3890e7683ff996c9b3789599f42cafa78",
+    "models/classifier.json": "4c8655a9725268429d35e127c4cb1fe352fed7f5fd384d5a09f36516f81c1aeb",
+    "models/discriminator.json": "85e5afb0cce260ba438945241200354d592677fef5f3fb93bee5c920b535a6a1",
+}
+
+
 class TestTrainCommand:
+    def test_setup_files_are_byte_identical(self, workspace):
+        root, _, _ = workspace
+        digests = {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in SETUP_DIGESTS}
+        assert digests == SETUP_DIGESTS
+
     def test_writes_model_files(self, workspace):
         _, _, models = workspace
         names = {p.name for p in models.iterdir()}
@@ -208,6 +246,17 @@ class TestTrainCommand:
 
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert cli.main(["train", str(tmp_path / "nope.json")]) == 2
+
+    def test_label_file_missing_a_source_writes_no_model(self, workspace, midi_dir, tmp_path, capsys):
+        _, corpus, _ = workspace
+        labels = json.loads((midi_dir / "labels.json").read_text())
+        del labels["e2_0.mid"]
+        (tmp_path / "labels.json").write_text(json.dumps(labels))
+        models = tmp_path / "m"
+        args = ["train", str(corpus), "--labels", str(tmp_path / "labels.json"), "--out", str(models)]
+        assert cli.main(args) == 2
+        assert "e2_0.mid" in capsys.readouterr().err
+        assert not models.exists() or not any(models.iterdir())
 
     def test_bad_order_is_data_error(self, workspace):
         _, corpus, _ = workspace
@@ -542,6 +591,16 @@ class TestCompareCommand:
         args = ["compare", str(run_dir / "manifest.json"), str(run_dir / "manifest.json")]
         assert cli.main(args) == 0
         assert "topp:manifest" in capsys.readouterr().out
+
+    def test_edited_aggregate_is_data_error(self, run_dir, tmp_path, capsys):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["aggregates"]["E1"]["pitch_range"] != 99.0
+        manifest["aggregates"]["E1"]["pitch_range"] = 99.0
+        edited = tmp_path / "manifest.json"
+        edited.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        assert cli.main(["compare", str(run_dir / "manifest.json"), str(edited)]) == 2
+        err = capsys.readouterr().err
+        assert "E1 aggregates pitch_range is 99.0" in err
 
     def test_incomplete_manifest_is_data_error(self, workspace, tmp_path, capsys):
         _, _, models = workspace

@@ -156,11 +156,11 @@ def evaluable_walks(seed: int, count: int = 5000) -> list[list[int]]:
 
 
 class UncachedClassifier(HeuristicEmotionClassifier):
-    MEMO_SIZE = 0
+    MEMO_SIZE = AROUSAL_MEMO_SIZE = 0
 
 
 class UncachedDiscriminator(HeuristicDiscriminator):
-    MEMO_SIZE = 0
+    MEMO_SIZE = FIT_MEMO_SIZE = 0
 
 
 class TestFeaturePass:
@@ -285,11 +285,18 @@ class TestEvaluatorMemos:
             assert realness == reference_realness(discriminator, walk)
             assert realness == uncached[1].realness(walk, spare)
             assert (budget.e_calls, budget.d_calls) == (calls, calls)
-        for model in (classifier, discriminator):
-            info = model._memo.cache_info()
+        memos = [
+            (classifier._memo, classifier.MEMO_SIZE),
+            (classifier._arousal, classifier.AROUSAL_MEMO_SIZE),
+            (discriminator._memo, discriminator.MEMO_SIZE),
+            (discriminator._duration_fit, discriminator.FIT_MEMO_SIZE),
+        ]
+        for memo, size in memos:
+            info = memo.cache_info()
             assert info.hits >= 100
-            assert info.maxsize == model.MEMO_SIZE and info.currsize <= model.MEMO_SIZE
-        assert uncached[0]._memo.cache_info().currsize == uncached[1]._memo.cache_info().currsize == 0
+            assert info.maxsize == size and info.currsize <= size
+        inner = (uncached[0]._memo, uncached[0]._arousal, uncached[1]._memo, uncached[1]._duration_fit)
+        assert [memo.cache_info().currsize for memo in inner] == [0, 0, 0, 0]
 
     def test_refit_never_serves_a_stale_value(self, steering_corpus):
         sequences = [seq for seq, _ in steering_corpus]
@@ -316,11 +323,29 @@ class TestEvaluatorMemos:
         for seq, _ in steering_corpus:
             classifier.distribution(seq, budget)
             discriminator.realness(seq, budget)
-        for model, name in ((classifier, "clf.json"), (discriminator, "disc.json")):
+        for model, inner, name in (
+            (classifier, "_arousal", "clf.json"),
+            (discriminator, "_duration_fit", "disc.json"),
+        ):
             model.save(tmp_path / name)
             back = type(model).load(tmp_path / name, VOCAB)
-            assert model._memo.cache_info().currsize > 0
-            assert back._memo.cache_info().currsize == 0
+            for memo in ("_memo", inner):
+                assert getattr(model, memo).cache_info().currsize > 0
+                assert getattr(back, memo).cache_info().currsize == 0
+
+    def test_fit_empties_every_memo(self, steering_corpus):
+        sequences = [seq for seq, _ in steering_corpus]
+        classifier = HeuristicEmotionClassifier(VOCAB).fit(sequences)
+        discriminator = HeuristicDiscriminator(VOCAB).fit(sequences)
+        budget = EvaluatorBudget()
+        for seq in sequences:
+            classifier.distribution(seq, budget)
+            discriminator.realness(seq, budget)
+        memos = (classifier._memo, classifier._arousal, discriminator._memo, discriminator._duration_fit)
+        assert all(memo.cache_info().currsize > 0 for memo in memos)
+        classifier.fit(sequences)
+        discriminator.fit(sequences)
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0, 0]
 
     def test_returned_distribution_is_read_only(self, fitted, steering_corpus):
         classifier, _ = fitted

@@ -43,6 +43,10 @@ FULL_ROW = {
 }
 
 
+# the aggregates of piece_entry's pieces
+ZERO_ROW = dict.fromkeys(FULL_ROW, 0.0)
+
+
 def make_manifest(**overrides) -> dict:
     manifest = build_manifest(
         method="puct",
@@ -225,6 +229,25 @@ class TestAggregates:
     def test_unknown_emotion_key_is_rejected(self):
         with pytest.raises(ManifestSchemaError, match="E9"):
             validate_manifest(make_manifest(aggregates={"E9": dict(FULL_ROW)}))
+
+    @pytest.mark.parametrize("shift", [2e-9, -1.0])
+    def test_aggregate_that_its_pieces_do_not_give_is_rejected(self, shift):
+        manifest = make_manifest()
+        manifest["aggregates"]["E1"]["polyphony"] += shift
+        with pytest.raises(ManifestSchemaError, match="E1 aggregates polyphony is .*, its pieces give 0.0"):
+            validate_manifest(manifest)
+
+    def test_aggregate_within_tolerance_is_accepted(self):
+        manifest = make_manifest()
+        manifest["aggregates"]["E1"]["polyphony"] += 5e-10
+        validate_manifest(manifest)
+
+    @pytest.mark.parametrize(
+        "aggregates", [{}, {"E1": dict(ZERO_ROW), "E2": dict(ZERO_ROW)}], ids=["none", "extra"]
+    )
+    def test_aggregate_emotions_must_be_the_pieces(self, aggregates):
+        with pytest.raises(ManifestSchemaError, match=r"aggregates cover \[.*\], the pieces \['E1'\]"):
+            validate_manifest(make_manifest(aggregates=aggregates))
 
     def test_checked_aggregates_prefer_recomputed_values(self):
         manifest = make_manifest()

@@ -52,6 +52,40 @@ class TestAgainstRecountOracle:
             assert got.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def naive_counts(sequences, order: int) -> dict:
+    """Gram counts by a position-by-position loop: every target after position 0."""
+    counts = {o: {} for o in range(1, order + 1)}
+    for seq in sequences:
+        for i in range(1, len(seq)):
+            for o in range(1, order + 1):
+                if i - (o - 1) >= 0:
+                    row = counts[o].setdefault(tuple(int(t) for t in seq[i - (o - 1) : i]), {})
+                    row[int(seq[i])] = row.get(int(seq[i]), 0) + 1
+    return counts
+
+
+class TestFitCounts:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_counts_equal_a_naive_loop(self, order):
+        rng = np.random.default_rng(order)
+        # few distinct ids, so grams repeat within and across sequences
+        sequences = [[], [5], [5, 7], [7, 5], [5, 5, 5]]
+        sequences += [rng.integers(0, 6, int(rng.integers(0, 30))).tolist() for _ in range(60)]
+        sequences += [rng.integers(0, 6, n) for n in (0, 1, 2, 25)]  # numpy int arrays
+        got = NGramPolicy(VOCAB, order=order).fit(sequences).counts_
+        want = naive_counts(sequences, order)
+        assert got == want
+        for o in want:  # the same insertion order too, contexts and rows
+            assert [(ctx, list(row)) for ctx, row in got[o].items()] == [
+                (ctx, list(row)) for ctx, row in want[o].items()
+            ]
+            assert all(type(t) is int for ctx, row in got[o].items() for t in (*ctx, *row))
+
+    def test_sequences_too_short_to_count_fit_empty_tables(self):
+        counts = NGramPolicy(VOCAB, order=3).fit([[], [4], np.array([4])]).counts_
+        assert counts == {1: {}, 2: {}, 3: {}}
+
+
 class TestSmoothing:
     def test_memorizes_a_repeated_sequence(self):
         policy = NGramPolicy(VOCAB, order=3, add_k=0.01).fit([MEMO_SEQ] * 5)

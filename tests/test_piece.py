@@ -157,14 +157,11 @@ class TestPieceToTokens:
 
 class TestQuantization:
     def test_quantize_note_rounds_to_grid(self):
-        q = quantize_note(NoteEvent(130, 60, 450, 63))
-        assert q.onset == 120
-        assert q.duration == 4 * STEP_TICKS
-        assert q.velocity == 64
+        assert quantize_note(NoteEvent(130, 60, 450, 63)) == (120, 60, 4 * STEP_TICKS, 64)
 
     def test_duration_bins_clamp(self):
-        assert quantize_note(NoteEvent(0, 60, 1, 64)).duration == STEP_TICKS
-        assert quantize_note(NoteEvent(0, 60, 99_999, 64)).duration == 32 * STEP_TICKS
+        assert quantize_note(NoteEvent(0, 60, 1, 64))[2] == STEP_TICKS
+        assert quantize_note(NoteEvent(0, 60, 99_999, 64))[2] == 32 * STEP_TICKS
 
     def test_tempo_bins_roundtrip(self):
         for b in range(1, 33):

@@ -40,6 +40,8 @@ class TestVocabulary:
         for i, tok in enumerate(VOCAB.tokens):
             assert VOCAB.encode([tok])[0] == i
             assert VOCAB.decode([i]) == [tok]
+            assert VOCAB.id_base[tok.kind] + tok.value == i
+            assert VOCAB.texts[i] == tok.to_text()
         assert len({VOCAB.encode([t])[0] for t in VOCAB.tokens}) == VOCAB.vocab_size
 
     def test_encode_decode_roundtrip(self):
