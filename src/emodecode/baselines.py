@@ -16,12 +16,10 @@ import numpy as np
 
 from .emotion import EmotionQuadrant
 from .errors import UntrainedCondition
-from .models.base import EmotionClassifier, Policy
+from .models.base import LOG_FLOOR, EmotionClassifier, Policy
 from .models.ngram import with_emotion_prefix
-from .models.sampling import sample_cumulative, sample_index, uniform_stream
+from .models.sampling import sample_cumulative, sample_without_replacement, uniform_stream
 from .puct import DecodeTrace, StopRule, _emit, _finalize
-
-_LOG_FLOOR = 1e-12
 
 
 @dataclass
@@ -118,10 +116,13 @@ def sbbs_decode(
 ) -> tuple[list[int], DecodeTrace]:
     """Stochastic bi-objective beam search toward a target quadrant.
 
-    Each step expands every live beam with its top-k successors, scores
-    candidates by accumulated log policy probability plus the beam's cached
-    log classifier probability of the target, renormalizes over all
-    candidates and samples the next beam set without replacement.  The
+    Each step expands every live beam with its top-k successors and scores
+    each candidate as ``beam.logscore + logp + beam.log_e``, in that order:
+    the beam's accumulated score, the successor's floored log policy
+    probability as ``Policy.top_k`` caches it, and the beam's cached
+    floored log classifier probability of the target.  The next beam set
+    is drawn without replacement from the candidates' ``exp(score - max)``
+    weights, one uniform per pick (``sample_without_replacement``).  The
     classifier is consulted once per beam at every completed bar line; its
     value is reused for the steps inside the following bar.
     """
@@ -133,42 +134,42 @@ def sbbs_decode(
     with uniform_stream(rng) as stream:
         while not all(b.done for b in beams):
             live = [i for i, b in enumerate(beams) if not b.done]
-            candidates: list[tuple[int, int, float]] = []  # parent index, token, logscore
+            parents: list[int] = []  # per candidate: its beam's index, its token and its score
+            tokens: list[int] = []
+            scores: list[float] = []
             for i in live:
                 beam = beams[i]
-                ids, probs = policy.top_k(beam.seq, cfg.top_k)
-                for tok, p in zip(ids, probs):
-                    logscore = beam.logscore + math.log(max(p, _LOG_FLOOR)) + beam.log_e
-                    candidates.append((i, tok, logscore))
+                ids, logps = policy.top_k(beam.seq, cfg.top_k)
+                logscore, log_e = beam.logscore, beam.log_e
+                parents += [i] * len(ids)
+                tokens += ids
+                scores += [logscore + logp + log_e for logp in logps]
 
-            scores = np.array([c[2] for c in candidates], dtype=np.float64)
-            weights = np.exp(scores - scores.max())
-            picked: list[int] = []
-            for _ in range(min(len(live), len(candidates))):
-                idx = sample_index(stream, weights)
-                picked.append(idx)
-                weights[idx] = 0.0  # without replacement
-                if not weights.any():
-                    break
+            weights = np.exp(np.array(scores) - max(scores)).tolist()
+            picked = sample_without_replacement(stream, weights, min(len(live), len(scores)))
 
             survivors: list[_Beam] = [b for b in beams if b.done]
-            for idx in picked:
-                parent, token, logscore = candidates[idx]
+            last_child = {parents[idx]: n for n, idx in enumerate(picked)}
+            for n, idx in enumerate(picked):
+                parent, token = parents[idx], tokens[idx]
                 beam = beams[parent]
-                seq = beam.seq + [token]
+                if last_child[parent] == n:  # the parent's last child extends its list in place
+                    seq = beam.seq
+                    seq.append(token)
+                else:
+                    seq = beam.seq + [token]
                 bars, done = rule.after(seq, beam.bars)
-                child = _Beam(seq=seq, logscore=logscore, log_e=beam.log_e, bars=bars, done=done)
+                child = _Beam(seq=seq, logscore=scores[idx], log_e=beam.log_e, bars=bars, done=done)
                 if token == vocab.bar_id and bars >= 2:  # the first bar line closes no bar
                     e_vec = classifier.distribution(seq, trace)
-                    child.log_e = math.log(max(float(e_vec[cfg.target.index]), _LOG_FLOOR))
+                    child.log_e = math.log(max(float(e_vec[cfg.target.index]), LOG_FLOOR))
                 survivors.append(child)
             beams = survivors
             trace.records.append(
                 {
                     "step": len(trace.records),
                     "beams": [
-                        {"parent": candidates[i][0], "token_id": candidates[i][1], "logscore": candidates[i][2]}
-                        for i in picked
+                        {"parent": parents[i], "token_id": tokens[i], "logscore": scores[i]} for i in picked
                     ],
                     "e_calls": trace.e_calls,
                     "d_calls": trace.d_calls,

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .baselines import SamplingConfig, SBBSConfig, cs_decode, sbbs_decode, top_p_decode
@@ -32,7 +31,7 @@ from .errors import DataError, EmodecodeError, NoValidFiles, SequenceTooShort
 from .manifest import build_manifest, checked_aggregates, dump_manifest, load_manifest
 from .metrics import compare_table, piece_metrics
 from .models.base import EvaluatorBudget
-from .models.heuristic import HeuristicDiscriminator, HeuristicEmotionClassifier
+from .models.heuristic import HeuristicDiscriminator, HeuristicEmotionClassifier, corpus_features
 from .models.ngram import NGramPolicy, with_emotion_prefix
 from .puct import DecodeConfig, decode_piece
 from .remi.midi import read_midi, write_midi
@@ -64,7 +63,6 @@ _DATA_ERRORS = (
     IsADirectoryError,
     PermissionError,
     ValueError,
-    yaml.YAMLError,
 )
 
 
@@ -98,7 +96,12 @@ def merged_config(args: argparse.Namespace, method: str) -> dict:
     """defaults <- config file common section <- method section <- flags."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        loaded = yaml.safe_load(Path(args.config).read_text(encoding="utf-8")) or {}
+        import yaml  # only a config file needs it, and the import costs every process
+
+        try:
+            loaded = yaml.safe_load(Path(args.config).read_text(encoding="utf-8")) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {args.config} is not YAML: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} must hold a mapping")
         unknown_sections = set(loaded) - ({"common"} | set(METHODS))
@@ -146,8 +149,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     NGramPolicy(VOCAB, order=args.order, add_k=args.add_k).fit(sequences).save(out / "policy.json")
-    HeuristicEmotionClassifier(VOCAB).fit(sequences).save(out / "classifier.json")
-    HeuristicDiscriminator(VOCAB).fit(sequences).save(out / "discriminator.json")
+    features = corpus_features(sequences, VOCAB)  # one feature pass feeds both evaluators
+    HeuristicEmotionClassifier(VOCAB).fit(sequences, features).save(out / "classifier.json")
+    HeuristicDiscriminator(VOCAB).fit(sequences, features).save(out / "discriminator.json")
     written = ["policy.json", "classifier.json", "discriminator.json"]
     if pairs:
         prefixed = [with_emotion_prefix(seq, quadrant, VOCAB) for seq, quadrant in pairs]

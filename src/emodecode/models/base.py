@@ -8,6 +8,7 @@ exactly one, which is what the search budget accounting relies on.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Sequence
@@ -18,6 +19,8 @@ from ..emotion import check_distribution
 from ..errors import GrammarError, SequenceTooShort
 from ..remi.tokens import Vocabulary, complete_bar_prefix
 from .sampling import ranked_ids, sample_cumulative, top_p_filter
+
+LOG_FLOOR = 1e-12  # log-probabilities are taken of max(p, LOG_FLOOR)
 
 
 @dataclass
@@ -88,16 +91,18 @@ class Policy:
         return ids.tolist(), (mass / mass.sum()).tolist(), np.cumsum(mass).tolist()
 
     def top_k(self, prefix: Sequence[int], k: int) -> tuple[list[int], list[float]]:
-        """The ``k`` most probable ids after ``prefix`` and their probabilities.
+        """The ``k`` most probable ids after ``prefix`` and their floored log-probabilities.
 
         ``ids`` follow ``ranked_ids`` order (ties toward the lower id) and
-        ``probs`` are the unrenormalized ``next_distribution`` values.  A
+        ``logps`` are ``math.log(max(p, LOG_FLOOR))`` of their
+        unrenormalized ``next_distribution`` values ``p``: the log terms a
+        beam search adds up, taken once here rather than per candidate.  A
         caching policy hands the same lists to every caller, so callers
         must treat both as read-only.
         """
         dist = self.next_distribution(prefix)
         ids = ranked_ids(dist)[:k]
-        return ids.tolist(), dist[ids].tolist()
+        return ids.tolist(), [math.log(p if p > LOG_FLOOR else LOG_FLOOR) for p in dist[ids].tolist()]
 
     def rollout(self, seq: list[int], p: float, cap: int, rng, stops: Container[int]) -> None:
         """Append up to ``cap`` draws from the top-``p`` nucleus to ``seq``.

@@ -139,6 +139,11 @@ def _sequence_features(ids: tuple[int, ...], vocab: Vocabulary) -> _Features:
     )
 
 
+def corpus_features(sequences: Iterable[Sequence[int]], vocab: Vocabulary) -> list[_Features]:
+    """Each sequence's features, computed once so that both evaluators can fit on them."""
+    return [_sequence_features(tuple(seq), vocab) for seq in sequences]
+
+
 def _key_correlations(pc_hist: tuple[int, ...]) -> tuple[float, float]:
     """Best Pearson correlation of an integer histogram with the major and the minor profile.
 
@@ -180,11 +185,18 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
         self._memo = functools.lru_cache(maxsize=self.MEMO_SIZE)(self._distribution)
         self._arousal = functools.lru_cache(maxsize=self.AROUSAL_MEMO_SIZE)(self._arousal_of)
 
-    def fit(self, sequences: Iterable[Sequence[int]]) -> "HeuristicEmotionClassifier":
-        rows = []
-        for seq in sequences:
-            f = _sequence_features(tuple(seq), self.vocab)
-            rows.append((f.tempo, f.density, f.velocity))
+    def fit(
+        self, sequences: Iterable[Sequence[int]], features: Sequence[_Features] | None = None
+    ) -> "HeuristicEmotionClassifier":
+        """Calibrate the arousal z-scores on ``sequences``.
+
+        ``features``, when given, are ``corpus_features(sequences)``, taken
+        once by a caller that fits both evaluators; ``sequences`` is then
+        not read.
+        """
+        if features is None:
+            features = corpus_features(sequences, self.vocab)
+        rows = [(f.tempo, f.density, f.velocity) for f in features]
         if not rows:
             raise EmptyCorpus("cannot calibrate on an empty corpus")
         arr = np.asarray(rows, dtype=np.float64)
@@ -268,13 +280,16 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
         self._memo = functools.lru_cache(maxsize=self.MEMO_SIZE)(self._realness)
         self._duration_fit = functools.lru_cache(maxsize=self.FIT_MEMO_SIZE)(self._duration_fit_of)
 
-    def fit(self, sequences: Iterable[Sequence[int]]) -> "HeuristicDiscriminator":
+    def fit(
+        self, sequences: Iterable[Sequence[int]], features: Sequence[_Features] | None = None
+    ) -> "HeuristicDiscriminator":
+        """Fit the corpus duration histogram; ``features`` as for the classifier's ``fit``."""
+        if features is None:
+            features = corpus_features(sequences, self.vocab)
         hist = np.ones(N_DURATION_BINS, dtype=np.float64)  # add-one smoothing
-        seen = False
-        for seq in sequences:
-            hist += _sequence_features(tuple(seq), self.vocab).dur_hist
-            seen = True
-        if not seen:
+        for f in features:
+            hist += f.dur_hist
+        if not features:
             raise EmptyCorpus("cannot calibrate on an empty corpus")
         self.duration_hist_ = hist / hist.sum()
         self._memo.cache_clear()

@@ -154,7 +154,11 @@ class NGramPolicy(Policy):
             ctx = key[len(key) - (o - 1) :] if o > 1 else ()
             row = counts[o].get(ctx)
             if row:
-                weights = np.array([row.get(int(i), 0) for i in legal], dtype=np.float64)
+                # scatter the row's counts over the vocabulary, then read the legal ids
+                n = len(row)
+                scattered = np.zeros(self.vocab.vocab_size, dtype=np.float64)
+                scattered[np.fromiter(row, np.intp, n)] = np.fromiter(row.values(), np.float64, n)
+                weights = scattered[legal]
                 weights += self.add_k
                 break
         if weights is None:
@@ -197,6 +201,11 @@ class NGramPolicy(Policy):
             }
             if sorted(model.counts_) != list(range(1, model.order + 1)):
                 raise ValueError(f"counts must hold orders 1 to {model.order}")
+            targets: set[int] = set()  # next_distribution indexes an array with them
+            for table in model.counts_.values():
+                targets.update(*table.values())
+            if not targets.issubset(range(vocab.vocab_size)):
+                raise ValueError(f"counted ids must lie in 0..{vocab.vocab_size - 1}")
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed model ({exc})") from None
         return model

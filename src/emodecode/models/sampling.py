@@ -1,4 +1,4 @@
-"""Nucleus filtering, single-draw categorical sampling and the uniform stream.
+"""Nucleus filtering, categorical sampling and the uniform stream.
 
 All randomness in the package is read as ``rng.random()``, one uniform per
 call, so a scripted stand-in with the same method can replay a search
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from contextlib import contextmanager
+from itertools import accumulate
 from operator import length_hint
 from types import SimpleNamespace
 from typing import Iterator, Sequence
@@ -58,6 +59,32 @@ def sample_cumulative(rng, cum: Sequence[float]) -> int:
         raise ValueError("cannot sample from all-zero weights")
     u = rng.random() * total
     return bisect_right(cum, u, 0, len(cum) - 1)
+
+
+def sample_without_replacement(rng, weights: list[float], n: int) -> list[int]:
+    """Up to ``n`` indices drawn in turn, each pick's weight then set to zero.
+
+    The same indices from the same uniforms as calling ``sample_index``
+    ``n`` times, zeroing each pick's weight and stopping early once every
+    weight is zero: ``accumulate`` adds in the order ``np.cumsum`` does,
+    the draw clamps as ``sample_cumulative`` does, and after a pick only
+    the running sums from its index on are redone.  ``weights`` are
+    non-negative Python floats and are zeroed in place; ``n >= 1``.
+    """
+    cum = list(accumulate(weights))
+    if not cum or cum[-1] <= 0.0:
+        raise ValueError("cannot sample from all-zero weights")
+    last = len(cum) - 1
+    picked: list[int] = []
+    while True:
+        idx = bisect_right(cum, rng.random() * cum[-1], 0, last)
+        picked.append(idx)
+        weights[idx] = 0.0
+        if len(picked) >= n:
+            return picked
+        cum[idx:] = accumulate(weights[idx + 1 :], initial=cum[idx - 1] if idx else 0.0)
+        if cum[-1] == 0.0:  # a sum of non-negative floats is zero only when every term is
+            return picked
 
 
 @contextmanager

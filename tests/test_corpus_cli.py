@@ -7,8 +7,11 @@ budget 4) so the whole file stays fast.
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -505,6 +508,25 @@ class TestConfigFile:
         args = ["generate", "--models", str(models), "--config", str(config),
                 "--out", str(tmp_path / "out")]
         assert cli.main(args) == 2
+
+    def test_unparseable_yaml_names_the_file(self, workspace, tmp_path, capsys):
+        _, _, models = workspace
+        config = tmp_path / "cfg.yaml"
+        config.write_text("common: [unclosed\n")
+        args = ["generate", "--models", str(models), "--config", str(config),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "Traceback" not in err
+
+    def test_importing_the_cli_leaves_yaml_unloaded(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, emodecode.cli; print('yaml' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

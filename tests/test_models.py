@@ -4,7 +4,12 @@ import pytest
 
 from emodecode.errors import GrammarError, SequenceTooShort
 from emodecode.models.base import EvaluatorBudget
-from emodecode.models.sampling import sample_cumulative, sample_index, top_p_filter
+from emodecode.models.sampling import (
+    sample_cumulative,
+    sample_index,
+    sample_without_replacement,
+    top_p_filter,
+)
 from emodecode.remi.tokens import VOCAB, Token
 
 from doubles import (
@@ -90,6 +95,64 @@ class TestSampleIndex:
         weights = np.array([3.0, 7.0])
         hits = sum(sample_index(rng, weights) for _ in range(10_000))
         assert abs(hits / 10_000 - 0.7) < 0.02
+
+
+def picks_by_sample_index(rng, weights, n: int) -> list[int]:
+    """The reference: ``sample_index`` (an ``np.cumsum`` each time), zeroing every pick."""
+    weights = np.array(weights, dtype=np.float64)
+    picked = []
+    for _ in range(n):
+        idx = sample_index(rng, weights)
+        picked.append(idx)
+        weights[idx] = 0.0
+        if not weights.any():
+            break
+    return picked
+
+
+class TestSampleWithoutReplacement:
+    def test_matches_the_sample_index_loop_on_random_weights(self):
+        gen = np.random.default_rng(23)
+        underflowed = exhausted = 0
+        for _ in range(2000):
+            size = int(gen.integers(1, 60))
+            scores = gen.normal(0.0, float(gen.choice([1.0, 30.0, 600.0])), size)
+            scores[gen.integers(0, size, size // 3)] = scores[0]  # ties
+            weights = np.exp(scores - scores.max())
+            underflowed += bool((weights == 0.0).any())
+            n = int(gen.integers(1, 9))
+            uniforms = gen.random(n).tolist()
+            want = picks_by_sample_index(ScriptedRNG(uniforms), weights, n)
+            rng = ScriptedRNG(uniforms)
+            assert sample_without_replacement(rng, weights.tolist(), n) == want
+            assert rng.consumed == len(want)
+            exhausted += len(want) < n
+        assert underflowed > 100 and exhausted > 100
+
+    def test_stops_once_every_weight_is_zero(self):
+        weights = [0.0, 1.0, 0.0, 2.0, 0.0]
+        uniforms = [0.5, 0.5, 0.5, 0.5, 0.5]
+        want = picks_by_sample_index(ScriptedRNG(uniforms), weights, 5)
+        rng = ScriptedRNG(uniforms)
+        assert sample_without_replacement(rng, list(weights), 5) == want == [3, 1]
+        assert rng.consumed == 2
+
+    def test_a_draw_at_the_total_clamps_like_sample_index(self):
+        # u * total lands on the total: both clamp to the last index, even once it is zeroed
+        weights = [1.0, 2.0, 3.0]
+        want = picks_by_sample_index(ScriptedRNG([1.0] * 3), weights, 3)
+        assert sample_without_replacement(ScriptedRNG([1.0] * 3), list(weights), 3) == want == [2, 2, 2]
+        want = picks_by_sample_index(ScriptedRNG([0.0, 1.0, 1.0]), weights, 3)
+        assert sample_without_replacement(ScriptedRNG([0.0, 1.0, 1.0]), list(weights), 3) == want
+
+    def test_zeroes_the_picks_in_place(self):
+        weights = [1.0, 1.0, 1.0]
+        picked = sample_without_replacement(ScriptedRNG([0.1, 0.1]), weights, 2)
+        assert [weights[i] for i in picked] == [0.0, 0.0] and sum(weights) == 1.0
+
+    def test_all_zero_raises(self):
+        with pytest.raises(ValueError):
+            sample_without_replacement(ScriptedRNG([0.5]), [0.0, 0.0], 1)
 
 
 class TestPolicyNext:

@@ -1,5 +1,6 @@
 """Count-based policy: backoff, smoothing, persistence."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -116,6 +117,65 @@ class TestSmoothing:
             perplexity(policy, [[VOCAB.start_id]])
 
 
+def looped_distribution(policy: NGramPolicy, prefix) -> np.ndarray:
+    """``next_distribution`` with a Python loop over the legal ids: the scatter's reference."""
+    legal = VOCAB.successors(prefix[-1])
+    key = tuple(prefix[-(policy.order - 1) :])
+    weights = None
+    for o in range(policy.order, 0, -1):
+        if len(prefix) < o - 1:
+            continue
+        ctx = key[len(key) - (o - 1) :] if o > 1 else ()
+        row = policy.counts_[o].get(ctx)
+        if row:
+            weights = np.array([row.get(int(i), 0) for i in legal], dtype=np.float64)
+            weights += policy.add_k
+            break
+    if weights is None:
+        weights = np.ones(legal.size, dtype=np.float64)
+    dist = np.zeros(VOCAB.vocab_size, dtype=np.float64)
+    dist[legal] = weights / weights.sum()
+    return dist
+
+
+def assert_same_bits(policy, prefix):
+    got, want = policy.next_distribution(prefix), looped_distribution(policy, prefix)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestScatteredDistribution:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_random_fixture_contexts(self, steering_corpus, order):
+        corpus = [seq for seq, _ in steering_corpus]
+        policy = NGramPolicy(VOCAB, order=order, add_k=0.01).fit(corpus[::2])
+        gen = np.random.default_rng(order)
+        for _ in range(300):
+            seq = corpus[int(gen.integers(len(corpus)))]  # half of them held out
+            assert_same_bits(policy, seq[: int(gen.integers(1, len(seq)))])
+
+    def test_backoff_to_the_order_one_row(self, steering_corpus, steering_models):
+        policy, _, _ = steering_models
+        seq = steering_corpus[0][0]
+        prefix = seq[:3] + VOCAB.encode([Token.pitch(119)])  # a pitch the corpus never plays
+        assert (prefix[-1],) not in policy.counts_[2]
+        legal = set(VOCAB.successors(prefix[-1]).tolist())
+        assert set(policy.counts_[1][()]) - legal  # the row holds ids the legal set lacks
+        assert_same_bits(policy, prefix)
+
+    def test_unseen_context_is_uniform(self):
+        policy = NGramPolicy(VOCAB, order=3, add_k=0.01).fit([[VOCAB.start_id]])
+        prefix = MEMO_SEQ[:5]
+        assert_same_bits(policy, prefix)
+        legal = VOCAB.successors(prefix[-1])
+        assert np.all(policy.next_distribution(prefix)[legal] == 1.0 / legal.size)
+
+    @pytest.mark.parametrize("order, cut", [(3, 1), (4, 1), (4, 2)])
+    def test_prefix_shorter_than_the_context(self, steering_corpus, order, cut):
+        corpus = [seq for seq, _ in steering_corpus]
+        policy = NGramPolicy(VOCAB, order=order, add_k=0.01).fit(corpus)
+        assert_same_bits(policy, corpus[0][:cut])
+
+
 class TestPersistence:
     def test_save_load_identity(self, steering_models, steering_corpus, tmp_path):
         policy, _, _ = steering_models
@@ -147,6 +207,17 @@ class TestPersistence:
         payload["format"] = "something-else"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="format|ngram"):
+            NGramPolicy.load(path, VOCAB)
+
+    @pytest.mark.parametrize("bad_id", [-1, VOCAB.vocab_size])
+    def test_load_rejects_a_counted_id_outside_the_vocabulary(self, steering_models, tmp_path, bad_id):
+        policy, _, _ = steering_models
+        path = tmp_path / "policy.json"
+        policy.save(path)
+        payload = json.loads(path.read_text())
+        payload["counts"]["2"][str(VOCAB.bar_id)][str(bad_id)] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="policy.json.*counted ids"):
             NGramPolicy.load(path, VOCAB)
 
 
@@ -210,7 +281,8 @@ class TestTopK:
                 prefix = seq[:cut]
                 dist = policy.next_distribution(prefix)
                 ids = ranked_ids(dist)[:k]
-                assert policy.top_k(prefix, k) == ([int(i) for i in ids], [float(dist[i]) for i in ids])
+                logps = [math.log(max(float(dist[i]), 1e-12)) for i in ids]
+                assert policy.top_k(prefix, k) == ([int(i) for i in ids], logps)
                 checked += 1
         assert checked > 1000
 
@@ -246,10 +318,22 @@ class TestTopK:
 
     def test_generic_form_serves_a_table_policy(self):
         policy = UniformPolicy(VOCAB)
-        ids, probs = policy.top_k([VOCAB.start_id], 3)
+        ids, logps = policy.top_k([VOCAB.start_id], 3)
         legal = VOCAB.successors(VOCAB.start_id)
         assert ids == [int(i) for i in legal[:3]]
-        assert probs == [1.0 / legal.size] * len(ids)
+        assert logps == [math.log(1.0 / legal.size)] * len(ids)
+
+    def test_floors_a_vanishing_probability(self):
+        dist = np.zeros(VOCAB.vocab_size)
+        dist[[3, 5]] = [1.0 - 1e-15, 1e-15]
+
+        class Fixed(Policy):
+            vocab = VOCAB
+
+            def next_distribution(self, prefix):
+                return dist
+
+        assert Fixed().top_k([VOCAB.start_id], 2) == ([3, 5], [math.log(1.0 - 1e-15), math.log(1e-12)])
 
 
 # two-bar pieces closed by END: after a bar's last note, BAR and END both follow
