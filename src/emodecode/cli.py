@@ -298,7 +298,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         manifest = load_manifest(source)
         label = manifest["method"]
         if label in aggregates:
-            label = f"{label}:{Path(source).stem}"
+            label = first = f"{label}:{Path(source).stem}"
+            copies = 1
+            while label in aggregates:  # one row per manifest, however many share a name
+                copies += 1
+                label = f"{first}:{copies}"
         aggregates[label] = manifest["aggregates"]
     print(compare_table(aggregates))
     if args.out:

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 from .emotion import EmotionQuadrant
-from .errors import LabelMismatch, MalformedMidi, MeterImportWarning, NoValidFiles
+from .errors import DataError, LabelMismatch, MalformedMidi, MeterImportWarning, NoValidFiles
 from .remi.midi import read_midi
 from .remi.piece import piece_to_tokens
 from .remi.tokens import VOCAB, Vocabulary
@@ -52,11 +52,22 @@ def dump_corpus(corpus: dict, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> dict:
+    """The corpus in ``path``; DataError naming the file unless each piece is well-formed."""
     corpus = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(corpus, dict) or corpus.get("format") != FORMAT_TAG:
         raise NoValidFiles(f"not a {FORMAT_TAG} file: {path}")
     if not corpus.get("pieces"):
         raise NoValidFiles(f"corpus file {path} holds no pieces")
+    if not isinstance(corpus["pieces"], list):
+        raise DataError(f"{path}: pieces must be a list")
+    for i, piece in enumerate(corpus["pieces"]):
+        if not (
+            isinstance(piece, dict)
+            and isinstance(piece.get("source"), str)
+            and isinstance(piece.get("tokens"), list)
+            and all(isinstance(t, str) for t in piece["tokens"])
+        ):
+            raise DataError(f"{path}: piece {i} needs a string source and a list of string tokens")
     return corpus
 
 

@@ -100,6 +100,7 @@ def validate_manifest(manifest: dict) -> None:
         raise ManifestSchemaError("method must be a string")
     if not isinstance(manifest["pieces"], list):
         raise ManifestSchemaError("pieces must be a list")
+    vocab_size = VOCAB.vocab_size  # a property: read once, not once per id
     for i, entry in enumerate(manifest["pieces"]):
         if not isinstance(entry, dict):
             raise ManifestSchemaError(f"piece {i} must be a mapping")
@@ -114,8 +115,8 @@ def validate_manifest(manifest: dict) -> None:
         ids = entry["token_ids"]
         if not isinstance(ids, list):
             raise ManifestSchemaError(f"piece {i} token_ids must be a list")
-        if not all(type(t) is int and 0 <= t < VOCAB.vocab_size for t in ids):
-            raise ManifestSchemaError(f"piece {i} token_ids must be ids from 0 to {VOCAB.vocab_size - 1}")
+        if not all(type(t) is int and 0 <= t < vocab_size for t in ids):
+            raise ManifestSchemaError(f"piece {i} token_ids must be ids from 0 to {vocab_size - 1}")
         if _not_numbers(entry["metrics"], _PIECE_METRICS):
             raise ManifestSchemaError(f"piece {i} metrics need a number for each of {_PIECE_METRICS}")
         if entry["emotion"] not in _QUADRANT_NAMES:

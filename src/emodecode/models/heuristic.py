@@ -7,13 +7,14 @@ The discriminator is a fixed logistic over grammar validity, pitch-class
 entropy and how plausible the duration histogram looks next to the corpus.
 
 Both read only a few integer sums of a sequence (``_Features``), and in a
-tree search those repeat far more often than whole sequences do.  So each
-model memoises its output on the features it reads: the classifier's
-distribution on (tempo, density, velocity, pitch-class histogram) and its
-arousal on (tempo, density, velocity), the discriminator's realness on
-(validity, pitch-class histogram, duration histogram) and its duration fit
-on the duration histogram.  A memo belongs to one model, is emptied by
-``fit`` and starts empty in a loaded model; the base ``distribution`` and
+tree search those repeat far more often than whole sequences do.  So the
+models memoise the parts their values are composed of, not the values: the
+feature pass for the last sequence (the classifier and then the
+discriminator score the same one), the pitch-class statistics (key
+correlations and entropy) on the pitch-class histogram, the classifier's
+arousal on (tempo, density, velocity) and the discriminator's duration fit
+on the duration histogram.  The last two belong to one model, are emptied
+by ``fit`` and start empty in a loaded model; the base ``distribution`` and
 ``realness`` still count every call.  The features are computed in Python,
 and so is every step whose result is bit-identical that way: integer
 totals, int/int quotients and sums of at most four terms.  ``np.exp``,
@@ -166,24 +167,32 @@ def _key_correlations(pc_hist: tuple[int, ...]) -> tuple[float, float]:
     return max(-1.0, *corr[:12]), max(-1.0, *corr[12:])
 
 
+_MAX_PC_ENTROPY = math.log2(12)
+
+
 # about 0.5 MB; pitch-class histograms repeat far more often than sequences
-_cached_key_correlations = functools.lru_cache(maxsize=1024)(_key_correlations)
+@functools.lru_cache(maxsize=1024)
+def _pitch_class_stats(pc_hist: tuple[int, ...]) -> tuple[float, float, float]:
+    """``(major, minor, entropy)``: the key correlations and the normalised entropy of a histogram."""
+    major, minor = _key_correlations(pc_hist)
+    total = sum(pc_hist)
+    if total > 0:
+        probs = np.array([n / total for n in pc_hist if n > 0])
+        entropy = float(-(probs * np.log2(probs)).sum()) / _MAX_PC_ENTROPY
+    else:
+        entropy = 0.0
+    return major, minor, entropy
 
 
 class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
     """Quadrant probabilities from corpus-calibrated arousal and valence."""
 
-    # about 60 KB; in PUCT rollouts a larger memo adds few hits (19% at 1,024 against 16%)
-    MEMO_SIZE = 128
-    # about 0.25 MB; hits 50% of its calls on puct_wide and 65% on puct_narrow (seed 1)
-    AROUSAL_MEMO_SIZE = 1024
-
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self.means_: np.ndarray | None = None
         self.stds_: np.ndarray | None = None
-        self._memo = functools.lru_cache(maxsize=self.MEMO_SIZE)(self._distribution)
-        self._arousal = functools.lru_cache(maxsize=self.AROUSAL_MEMO_SIZE)(self._arousal_of)
+        # about 0.25 MB; hits 50% of its calls on puct_wide and 65% on puct_narrow (seed 1)
+        self._arousal = functools.lru_cache(maxsize=1024)(self._arousal_of)
 
     def fit(
         self, sequences: Iterable[Sequence[int]], features: Sequence[_Features] | None = None
@@ -202,7 +211,6 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
         arr = np.asarray(rows, dtype=np.float64)
         self.means_ = arr.mean(axis=0)
         self.stds_ = arr.std(axis=0)
-        self._memo.cache_clear()
         self._arousal.cache_clear()
         return self
 
@@ -213,11 +221,8 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
     def valence_arousal(self, seq: Sequence[int]) -> tuple[float, float]:
         self._require_fitted()
         f = _sequence_features(tuple(seq), self.vocab)
-        return self._valence_arousal(f.tempo, f.density, f.velocity, f.pc_hist)
-
-    def _valence_arousal(self, tempo, density, velocity, pc_hist) -> tuple[float, float]:
-        major, minor = _cached_key_correlations(pc_hist)
-        return major - minor, self._arousal(tempo, density, velocity)
+        major, minor, _ = _pitch_class_stats(f.pc_hist)
+        return major - minor, self._arousal(f.tempo, f.density, f.velocity)
 
     def _arousal_of(self, tempo, density, velocity) -> float:
         """Weighted z-scores of the three arousal features; memoised per model."""
@@ -227,22 +232,14 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
         ]
         return float(np.dot(_AROUSAL_WEIGHTS, z))
 
-    def _distribution(self, tempo, density, velocity, pc_hist) -> np.ndarray:
-        """The read-only quadrant distribution of one feature set; memoised per model."""
-        valence, arousal = self._valence_arousal(tempo, density, velocity, pc_hist)
+    def _evaluate(self, seq: list[int]) -> np.ndarray:
+        valence, arousal = self.valence_arousal(seq)
         # quadrant order E1..E4 with sign patterns (+v+a, -v+a, -v-a, +v-a)
         scores = [arousal + valence, arousal - valence, -arousal - valence, -arousal + valence]
         top = max(scores)
         exps = np.exp([x - top for x in scores])
         a, b, c, d = exps.tolist()
-        dist = exps / (a + b + c + d)  # numpy sums four terms in this order
-        dist.flags.writeable = False  # the memo hands the same array to every caller
-        return dist
-
-    def _evaluate(self, seq: list[int]) -> np.ndarray:
-        self._require_fitted()
-        f = _sequence_features(tuple(seq), self.vocab)
-        return self._memo(f.tempo, f.density, f.velocity, f.pc_hist)
+        return exps / (a + b + c + d)  # numpy sums four terms in this order
 
     def save(self, path: str | Path) -> None:
         self._require_fitted()
@@ -263,22 +260,16 @@ class HeuristicEmotionClassifier(BarPrefixMixin, EmotionClassifier):
 
 _REALNESS_WEIGHTS = (2.0, 1.0, 4.0)  # validity fraction, pc entropy, duration fit
 _REALNESS_BIAS = -4.5
-_MAX_PC_ENTROPY = math.log2(12)
 
 
 class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
     """Logistic realness score calibrated on the corpus duration histogram."""
 
-    # about 0.6 MB, mostly the histogram tuples of its keys; 82% of calls hit on puct_narrow
-    MEMO_SIZE = 1024
-    # at most 0.5 MB, the histogram tuples included; hits 19% of its calls on puct_wide (seed 1)
-    FIT_MEMO_SIZE = 1024
-
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self.duration_hist_: np.ndarray | None = None
-        self._memo = functools.lru_cache(maxsize=self.MEMO_SIZE)(self._realness)
-        self._duration_fit = functools.lru_cache(maxsize=self.FIT_MEMO_SIZE)(self._duration_fit_of)
+        # at most 0.5 MB, the histogram tuples included; hits 19% of its calls on puct_wide (seed 1)
+        self._duration_fit = functools.lru_cache(maxsize=1024)(self._duration_fit_of)
 
     def fit(
         self, sequences: Iterable[Sequence[int]], features: Sequence[_Features] | None = None
@@ -292,21 +283,8 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
         if not features:
             raise EmptyCorpus("cannot calibrate on an empty corpus")
         self.duration_hist_ = hist / hist.sum()
-        self._memo.cache_clear()
         self._duration_fit.cache_clear()
         return self
-
-    def _realness(self, validity: float, pc_hist: tuple[int, ...], dur_hist: tuple[int, ...]) -> float:
-        """Realness of one feature set; memoised per model."""
-        total_pc = sum(pc_hist)
-        if total_pc > 0:
-            probs = np.array([n / total_pc for n in pc_hist if n > 0])
-            entropy = float(-(probs * np.log2(probs)).sum()) / _MAX_PC_ENTROPY
-        else:
-            entropy = 0.0
-        x = (validity, entropy, self._duration_fit(dur_hist))
-        logit = _REALNESS_BIAS + float(np.dot(_REALNESS_WEIGHTS, x))
-        return 1.0 / (1.0 + math.exp(-logit))
 
     def _duration_fit_of(self, dur_hist: tuple[int, ...]) -> float:
         """Overlap of a duration histogram with the corpus's; memoised per model."""
@@ -319,7 +297,9 @@ class HeuristicDiscriminator(BarPrefixMixin, Discriminator):
         if self.duration_hist_ is None:
             raise NotFitted("discriminator must be fit() or load()ed before use")
         f = _sequence_features(tuple(seq), self.vocab)
-        return self._memo(f.validity, f.pc_hist, f.dur_hist)
+        x = (f.validity, _pitch_class_stats(f.pc_hist)[2], self._duration_fit(f.dur_hist))
+        logit = _REALNESS_BIAS + float(np.dot(_REALNESS_WEIGHTS, x))
+        return 1.0 / (1.0 + math.exp(-logit))
 
     def save(self, path: str | Path) -> None:
         if self.duration_hist_ is None:

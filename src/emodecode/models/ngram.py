@@ -27,13 +27,13 @@ class NGramPolicy(Policy):
     full distributions are not, since every decoder reads them only through
     those two.
 
-    Rollouts walk a table of successor-linked nuclei, one entry per
-    ``(context, p)``: the nucleus's own ids and cumulative masses (shared,
-    not copied), the last index, which bounds the ``bisect`` so that a draw
-    at the total mass takes the last id, the total mass, and one successor
-    slot per id.  A slot is filled with the next context's entry the first
-    time its id is drawn, so a warm step costs one uniform, one ``bisect``
-    and one list index.  ``fit`` empties every cache, the table included.
+    One cache entry per ``(context, p)`` serves both ``nucleus`` and
+    rollouts: the nucleus tuple that ``nucleus`` hands out, the last index,
+    which bounds the ``bisect`` so that a draw at the total mass takes the
+    last id, the total mass, and one successor slot per id.  A slot is
+    filled with the next context's entry the first time its id is drawn, so
+    a warm rollout step costs one uniform, one ``bisect`` and one list
+    index.  ``fit`` empties every cache.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3, add_k: float = 0.01):
@@ -48,7 +48,6 @@ class NGramPolicy(Policy):
         self._nuclei: dict[tuple[tuple[int, ...], float], tuple] = {}
         # a dict of its own: the top-k key (ctx, 1) equals the nucleus key (ctx, 1.0)
         self._top: dict[tuple[tuple[int, ...], int], tuple] = {}
-        self._entries: dict[tuple[tuple[int, ...], float], tuple] = {}  # rollout entries
 
     def fit(self, sequences: Iterable[Sequence[int]]) -> "NGramPolicy":
         """Count every order's grams, then fold them into ``counts_``.
@@ -78,7 +77,6 @@ class NGramPolicy(Policy):
         self.counts_ = counts
         self._nuclei = {}
         self._top = {}
-        self._entries = {}
         return self
 
     def _require_fitted(self) -> dict:
@@ -97,22 +95,28 @@ class NGramPolicy(Policy):
 
     def nucleus(self, prefix: Sequence[int], p: float) -> tuple[list[int], list[float], list[float]]:
         """Cached per context and ``p``; the returned objects are shared."""
+        return self._entry(prefix, p)[0]
+
+    def _entry(self, prefix: Sequence[int], p: float) -> tuple:
+        """The cache entry after ``prefix``: ``(nucleus, last index, total, successors)``."""
         key = (self._context(prefix), p)
-        hit = self._nuclei.get(key)
-        if hit is None:
-            hit = self._nuclei[key] = super().nucleus(prefix, p)
-        return hit
+        entry = self._nuclei.get(key)
+        if entry is None:
+            nucleus = super().nucleus(prefix, p)
+            cum = nucleus[2]
+            entry = self._nuclei[key] = (nucleus, len(cum) - 1, cum[-1], [None] * len(cum))
+        return entry
 
     def rollout(self, seq: list[int], p: float, cap: int, rng, stops: Container[int]) -> None:
         """``Policy.rollout``, stepping through the successor-linked nuclei.
 
         The same ids and draws as the generic loop, and the same nucleus
-        cache keys: an entry is built through ``nucleus`` and a successor is
+        cache keys: an entry is built by ``_entry`` and a successor is
         resolved only when the next draw needs it.
         """
         if cap < 1:
             return
-        ids, cum, last, total, succ = self._rollout_entry(seq, p)
+        (ids, _, cum), last, total, succ = self._entry(seq, p)
         random = rng.random
         for _ in range(cap - 1):
             i = bisect_right(cum, random() * total, 0, last)
@@ -122,18 +126,9 @@ class NGramPolicy(Policy):
                 return
             entry = succ[i]
             if entry is None:
-                entry = succ[i] = self._rollout_entry(seq, p)
-            ids, cum, last, total, succ = entry
+                entry = succ[i] = self._entry(seq, p)
+            (ids, _, cum), last, total, succ = entry
         seq.append(ids[bisect_right(cum, random() * total, 0, last)])
-
-    def _rollout_entry(self, seq: Sequence[int], p: float) -> tuple:
-        """The rollout entry after ``seq``: ``(ids, cum, last index, total, successors)``."""
-        key = (self._context(seq), p)
-        entry = self._entries.get(key)
-        if entry is None:
-            ids, _, cum = self.nucleus(seq, p)
-            entry = self._entries[key] = (ids, cum, len(ids) - 1, cum[-1], [None] * len(ids))
-        return entry
 
     def top_k(self, prefix: Sequence[int], k: int) -> tuple[list[int], list[float]]:
         """Cached per context and ``k``; the returned objects are shared."""

@@ -197,6 +197,22 @@ def output_digest(manifest: dict) -> str:
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+# SHA-256 of every piece's metrics in test_outputs_per_method, the evaluators'
+# realness and predicted emotion included: an evaluator change that moves a
+# float changes them
+METRICS_DIGESTS = {
+    "puct": "bc88ac06d69c5bab63232535759daa601dab00553ec3665e9de5528a0d821d2a",
+    "sbbs": "a7d1d54d453db0e8c905ba245c84128f7e99fb5651b8a367f72b40c9970f3544",
+    "cs": "65f742644a837208fabe7e5200f7757d374fe97f0481f849d8bc94aedf5b39cb",
+    "topp": "65f742644a837208fabe7e5200f7757d374fe97f0481f849d8bc94aedf5b39cb",
+}
+
+
+def metrics_digest(manifest: dict) -> str:
+    body = [entry["metrics"] for entry in manifest["pieces"]]
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 # SHA-256 over the bytes of each method's .trace.json files, in name order:
 # traces must stay byte-identical, not only the ids they lead to
 TRACE_DIGESTS = {
@@ -250,6 +266,21 @@ class TestTrainCommand:
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert cli.main(["train", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda piece: piece.pop("tokens"), lambda piece: piece["tokens"].__setitem__(3, 7)],
+        ids=["no-tokens", "non-string-token"],
+    )
+    def test_malformed_corpus_piece_is_data_error(self, workspace, tmp_path, capsys, damage):
+        _, corpus, _ = workspace
+        data = json.loads(corpus.read_text())
+        damage(data["pieces"][1])
+        bad = tmp_path / "corpus.json"
+        bad.write_text(json.dumps(data))
+        assert cli.main(["train", str(bad), "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: piece 1 needs" in err and "Traceback" not in err
+
     def test_label_file_missing_a_source_writes_no_model(self, workspace, midi_dir, tmp_path, capsys):
         _, corpus, _ = workspace
         labels = json.loads((midi_dir / "labels.json").read_text())
@@ -291,6 +322,7 @@ class TestGenerateCommand:
         for entry in manifest["pieces"]:
             assert VOCAB.validate_ids(entry["token_ids"], require_complete=True) is None
         assert output_digest(manifest) == OUTPUT_DIGESTS[method]
+        assert metrics_digest(manifest) == METRICS_DIGESTS[method]
         traced = tmp_path / f"{method}_traced"
         assert generate(models, traced, *extra, "--traces") == 0
         assert len(list(traced.glob("*.trace.json"))) == 4
@@ -613,6 +645,15 @@ class TestCompareCommand:
         args = ["compare", str(run_dir / "manifest.json"), str(run_dir / "manifest.json")]
         assert cli.main(args) == 0
         assert "topp:manifest" in capsys.readouterr().out
+
+    def test_every_copy_of_a_manifest_gets_its_own_row(self, run_dir, tmp_path, capsys):
+        report_path = tmp_path / "three.json"
+        args = ["compare", *[str(run_dir / "manifest.json")] * 3, "--out", str(report_path)]
+        assert cli.main(args) == 0
+        labels = ["topp", "topp:manifest", "topp:manifest:2"]
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
+        assert list(dict.fromkeys(rows)) == labels
+        assert list(json.loads(report_path.read_text())) == labels
 
     def test_edited_aggregate_is_data_error(self, run_dir, tmp_path, capsys):
         manifest = json.loads((run_dir / "manifest.json").read_text())

@@ -14,9 +14,9 @@ from emodecode.models.heuristic import (
     _MINOR_PROFILE,
     HeuristicDiscriminator,
     HeuristicEmotionClassifier,
-    _cached_key_correlations,
     _Features,
     _key_correlations,
+    _pitch_class_stats,
     _sequence_features,
 )
 from emodecode.remi.piece import DEFAULT_BPM
@@ -133,15 +133,20 @@ def reference_distribution(classifier, seq) -> np.ndarray:
     return exps / exps.sum()
 
 
+def reference_entropy(counts) -> float:
+    """The normalised pitch-class entropy by the discriminator's numpy formula from before the memo."""
+    pc_hist = np.array(counts, dtype=np.float64)
+    if pc_hist.sum() <= 0.0:
+        return 0.0
+    probs = pc_hist[pc_hist > 0.0] / pc_hist.sum()
+    return float(-(probs * np.log2(probs)).sum()) / math.log2(12)
+
+
 def reference_realness(discriminator, seq) -> float:
     """The discriminator's realness by its numpy formula from before the memo."""
     f = reference_features(complete_bar_prefix(seq, VOCAB), VOCAB)
-    pc_hist = np.array(f.pc_hist, dtype=np.float64)
     dur_hist = np.array(f.dur_hist, dtype=np.float64)
-    entropy = fit = 0.0
-    if pc_hist.sum() > 0.0:
-        probs = pc_hist[pc_hist > 0.0] / pc_hist.sum()
-        entropy = float(-(probs * np.log2(probs)).sum()) / math.log2(12)
+    entropy, fit = reference_entropy(f.pc_hist), 0.0
     if dur_hist.sum() > 0.0:
         fit = float(np.minimum(dur_hist / dur_hist.sum(), discriminator.duration_hist_).sum())
     logit = heuristic._REALNESS_BIAS + float(np.dot(heuristic._REALNESS_WEIGHTS, (f.validity, entropy, fit)))
@@ -153,14 +158,6 @@ def evaluable_walks(seed: int, count: int = 5000) -> list[list[int]]:
     rng = np.random.default_rng(seed)
     walks = (grammar_walk(rng, int(rng.integers(1, 120))) for _ in range(count))
     return [walk for walk in walks if complete_bar_prefix(walk, VOCAB) is not None]
-
-
-class UncachedClassifier(HeuristicEmotionClassifier):
-    MEMO_SIZE = AROUSAL_MEMO_SIZE = 0
-
-
-class UncachedDiscriminator(HeuristicDiscriminator):
-    MEMO_SIZE = FIT_MEMO_SIZE = 0
 
 
 class TestFeaturePass:
@@ -244,8 +241,8 @@ class TestProfileCorrelation:
             durations = rng.integers(1, N_DURATION_BINS + 1, notes).astype(np.float64)
             hist = np.bincount(pitch_classes, weights=durations, minlength=12)
             counts = tuple(int(x) for x in hist)
-            assert _cached_key_correlations(counts) == _key_correlations(hist)
-        assert _cached_key_correlations.cache_info().maxsize <= 1024
+            assert _pitch_class_stats(counts)[:2] == _key_correlations(hist)
+        assert _pitch_class_stats.cache_info().maxsize <= 1024
 
     def test_flat_or_empty_histogram_is_zero(self):
         assert _key_correlations(np.zeros(12)) == (0.0, 0.0)
@@ -264,39 +261,27 @@ class TestEvaluatorMemos:
             hist = np.array(counts, dtype=np.float64)
             want = (rolled_correlation(hist, _MAJOR_PROFILE), rolled_correlation(hist, _MINOR_PROFILE))
             assert _key_correlations(counts) == want
-            assert _cached_key_correlations(counts) == want
+            assert _pitch_class_stats(counts) == (*want, reference_entropy(counts))
 
     def test_memoised_values_equal_the_reference_and_every_call_counts(self, steering_corpus):
         sequences = [seq for seq, _ in steering_corpus]
         classifier = HeuristicEmotionClassifier(VOCAB).fit(sequences)
         discriminator = HeuristicDiscriminator(VOCAB).fit(sequences)
-        uncached = UncachedClassifier(VOCAB).fit(sequences), UncachedDiscriminator(VOCAB).fit(sequences)
         walks = evaluable_walks(43)
         assert len(walks) > 3000
-        budget, spare = EvaluatorBudget(), EvaluatorBudget()
+        budget = EvaluatorBudget()
         # then the last 100 again, through a fresh feature pass: equal keys in new tuples
         for calls, walk in enumerate(walks + walks[-100:], start=1):
             if calls == len(walks) + 1:
                 _sequence_features.cache_clear()
             vec = classifier.distribution(walk, budget)
             assert np.array_equal(vec, reference_distribution(classifier, walk))
-            assert np.array_equal(vec, uncached[0].distribution(walk, spare))
-            realness = discriminator.realness(walk, budget)
-            assert realness == reference_realness(discriminator, walk)
-            assert realness == uncached[1].realness(walk, spare)
+            assert discriminator.realness(walk, budget) == reference_realness(discriminator, walk)
             assert (budget.e_calls, budget.d_calls) == (calls, calls)
-        memos = [
-            (classifier._memo, classifier.MEMO_SIZE),
-            (classifier._arousal, classifier.AROUSAL_MEMO_SIZE),
-            (discriminator._memo, discriminator.MEMO_SIZE),
-            (discriminator._duration_fit, discriminator.FIT_MEMO_SIZE),
-        ]
-        for memo, size in memos:
+        for memo in (_pitch_class_stats, classifier._arousal, discriminator._duration_fit):
             info = memo.cache_info()
             assert info.hits >= 100
-            assert info.maxsize == size and info.currsize <= size
-        inner = (uncached[0]._memo, uncached[0]._arousal, uncached[1]._memo, uncached[1]._duration_fit)
-        assert [memo.cache_info().currsize for memo in inner] == [0, 0, 0, 0]
+            assert info.maxsize == 1024 and info.currsize <= 1024
 
     def test_refit_never_serves_a_stale_value(self, steering_corpus):
         sequences = [seq for seq, _ in steering_corpus]
@@ -323,15 +308,14 @@ class TestEvaluatorMemos:
         for seq, _ in steering_corpus:
             classifier.distribution(seq, budget)
             discriminator.realness(seq, budget)
-        for model, inner, name in (
+        for model, memo, name in (
             (classifier, "_arousal", "clf.json"),
             (discriminator, "_duration_fit", "disc.json"),
         ):
             model.save(tmp_path / name)
             back = type(model).load(tmp_path / name, VOCAB)
-            for memo in ("_memo", inner):
-                assert getattr(model, memo).cache_info().currsize > 0
-                assert getattr(back, memo).cache_info().currsize == 0
+            assert getattr(model, memo).cache_info().currsize > 0
+            assert getattr(back, memo).cache_info().currsize == 0
 
     def test_fit_empties_every_memo(self, steering_corpus):
         sequences = [seq for seq, _ in steering_corpus]
@@ -341,20 +325,11 @@ class TestEvaluatorMemos:
         for seq in sequences:
             classifier.distribution(seq, budget)
             discriminator.realness(seq, budget)
-        memos = (classifier._memo, classifier._arousal, discriminator._memo, discriminator._duration_fit)
+        memos = (classifier._arousal, discriminator._duration_fit)
         assert all(memo.cache_info().currsize > 0 for memo in memos)
         classifier.fit(sequences)
         discriminator.fit(sequences)
-        assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0, 0]
-
-    def test_returned_distribution_is_read_only(self, fitted, steering_corpus):
-        classifier, _ = fitted
-        vec = classifier.distribution(steering_corpus[3][0], EvaluatorBudget())
-        with pytest.raises(ValueError):
-            vec[0] = 1.0
-        with pytest.raises(ValueError):
-            vec *= 2.0
-        assert classifier.distribution(steering_corpus[3][0], EvaluatorBudget()) is vec
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0]
 
 
 class TestCheckDistribution:
