@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import EmptyCorpus, NotFitted
 from ..remi.tokens import KIND_PAIR_LEGAL, N_DURATION_BINS, TokenKind, Vocabulary
-from ..remi.piece import bpm_of_bin, DEFAULT_BPM
+from ..remi.piece import DEFAULT_BPM
 from .base import BarPrefixMixin, Discriminator, EmotionClassifier, float_vector, read_tagged, write_tagged
 
 EMOTION_FORMAT_TAG = "emotion-heuristic-v1"
