@@ -40,21 +40,16 @@ from .remi.tokens import VOCAB, tokens_to_text
 
 log = logging.getLogger("emodecode")
 
-METHODS = ("puct", "sbbs", "cs", "topp")
+# each method's decoder config: its defaulted fields, count and seed are all the method takes
+CONFIGS = {"puct": DecodeConfig, "sbbs": SBBSConfig, "cs": SamplingConfig, "topp": SamplingConfig}
+METHODS = tuple(CONFIGS)
 
 
-def _field_defaults(*classes) -> dict:
-    """Field name -> default over ``classes``; a field they share has one default."""
-    return {
-        f.name: f.default
-        for cls in classes
-        for f in dataclasses.fields(cls)
-        if f.default is not dataclasses.MISSING
-    }
+def knob_defaults(method: str) -> dict:
+    """Each knob ``method`` takes -> its default."""
+    fields = [f for f in dataclasses.fields(CONFIGS[method]) if f.default is not dataclasses.MISSING]
+    return {**{f.name: f.default for f in fields}, "count": 1, "seed": 0}
 
-
-# the decoder configs' own defaults, plus pieces per emotion and the master seed
-DEFAULTS = {**_field_defaults(DecodeConfig, SBBSConfig, SamplingConfig), "count": 1, "seed": 0}
 
 _DATA_ERRORS = (
     DataError,
@@ -82,9 +77,9 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _check_type(section: str, key: str, value) -> None:
+def _check_type(section: str, key: str, value, default) -> None:
     """A config file value must have its default's type; an int may stand for a float."""
-    expected = type(DEFAULTS[key])
+    expected = type(default)
     allowed = (int, float) if expected is float else (expected,)
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ValueError(
@@ -93,9 +88,14 @@ def _check_type(section: str, key: str, value) -> None:
 
 
 def merged_config(args: argparse.Namespace, method: str) -> dict:
-    """defaults <- config file common section <- method section <- flags."""
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    """``method``'s knobs: defaults <- config file common section <- method section <- flags."""
+    defaults = knob_defaults(method)
+    given = {key: value for key, value in vars(args).items() if key in args.knob_flags and value is not None}
+    stray = [args.knob_flags[key] for key in given if key not in defaults]
+    if stray:
+        args.usage_error(f"method {method} does not take {', '.join(stray)}")
+    cfg = dict(defaults)
+    if args.config:
         import yaml  # only a config file needs it, and the import costs every process
 
         try:
@@ -111,16 +111,16 @@ def merged_config(args: argparse.Namespace, method: str) -> dict:
             table = loaded.get(section) or {}
             if not isinstance(table, dict):
                 raise ValueError(f"config section [{section}] must hold a mapping")
-            bad = set(table) - set(DEFAULTS)
+            bad = set(table) - set(defaults)
             if bad:
-                raise ValueError(f"unknown config keys in [{section}]: {sorted(bad)}")
+                raise ValueError(f"method {method} takes no [{section}] keys {sorted(bad)}")
             for key, value in table.items():
-                _check_type(section, key, value)
+                _check_type(section, key, value, defaults[key])
             cfg.update(table)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    cfg.update(given)
+    for key, least in (("count", 1), ("seed", 0)):
+        if cfg[key] < least:
+            raise ValueError(f"{key} must be at least {least}, got {cfg[key]}")
     return cfg
 
 
@@ -164,20 +164,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config(cls, cfg: dict, **fixed):
-    """``cls`` built from the merged config's values for its fields."""
-    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg}, **fixed)
-
-
 def _decode_one(method, start, policy, classifier, discriminator, cfg, target, rng):
+    knobs = {key: value for key, value in cfg.items() if key not in ("count", "seed")}
     if method == "puct":
-        decode_cfg = _config(DecodeConfig, cfg, target=target)
+        decode_cfg = DecodeConfig(target=target, **knobs)
         return decode_piece(start, policy, classifier, discriminator, decode_cfg, rng=rng)
     if method == "sbbs":
-        return sbbs_decode(start, policy, classifier, _config(SBBSConfig, cfg, target=target), rng=rng)
+        return sbbs_decode(start, policy, classifier, SBBSConfig(target=target, **knobs), rng=rng)
     if method == "cs":
-        return cs_decode(start, policy, target, _config(SamplingConfig, cfg), rng=rng)
-    return top_p_decode(start, policy, _config(SamplingConfig, cfg), rng=rng)
+        return cs_decode(start, policy, target, SamplingConfig(**knobs), rng=rng)
+    return top_p_decode(start, policy, SamplingConfig(**knobs), rng=rng)
 
 
 def _piece_metrics(seq, piece, target, classifier, discriminator, eval_budget) -> dict:
@@ -246,7 +242,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             )
             log.info("generated %s (%d tokens)", stem, len(seq))
 
-    config_echo = {"method": method, "emotion": args.emotion, "models": str(args.models), **cfg}
+    # the models directory as seen from the manifest, like its piece paths
+    config_echo = {"method": method, "emotion": args.emotion, "models": os.path.relpath(models, out), **cfg}
     manifest = build_manifest(
         method=method,
         version=__version__,
@@ -334,29 +331,30 @@ def build_parser() -> _Parser:
     p.add_argument("--emotion", default="all", help="e1|e2|e3|e4|all")
     p.add_argument("--models", default="models", help="directory from `train`")
     p.add_argument("--config", help="YAML config file (common + per-method sections)")
-    p.add_argument("--count", type=int, help="pieces per emotion")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--budget", type=int, help="search iterations per emitted token")
-    p.add_argument("--top-p", type=float, dest="top_p", help="nucleus mass")
-    p.add_argument(
-        "--exploration-c", type=float, dest="exploration_c", help="exploration constant"
-    )
-    p.add_argument("--rollout-cap", type=int, dest="rollout_cap", help="simulation length cap")
-    p.add_argument("--beam", type=int, dest="beams", help="beam count (sbbs)")
-    p.add_argument("--top-k", type=int, dest="top_k", help="expansions per beam (sbbs)")
-    p.add_argument("--max-bars", type=int, dest="max_bars", help="stop after this many bars")
-    p.add_argument("--max-tokens", type=int, dest="max_tokens", help="hard length cap")
+    knobs = [  # merged_config rejects a flag for a knob the method does not take
+        p.add_argument("--count", type=int, help="pieces per emotion"),
+        p.add_argument("--seed", type=int, help="master seed"),
+        p.add_argument("--budget", type=int, help="search iterations per emitted token (puct)"),
+        p.add_argument("--top-p", type=float, help="nucleus mass (puct, cs, topp)"),
+        p.add_argument("--exploration-c", type=float, help="exploration constant (puct)"),
+        p.add_argument("--rollout-cap", type=int, help="simulation length cap (puct)"),
+        p.add_argument("--beam", type=int, dest="beams", help="beam count (sbbs)"),
+        p.add_argument("--top-k", type=int, help="expansions per beam (sbbs)"),
+        p.add_argument("--max-bars", type=int, help="stop after this many bars"),
+        p.add_argument("--max-tokens", type=int, help="hard length cap"),
+    ]
     p.add_argument("--traces", action="store_true", help="write per-piece search traces")
     p.add_argument("--out", default="runs/out", help="output directory")
-    p.set_defaults(func=cmd_generate)
+    flags = {knob.dest: knob.option_strings[0] for knob in knobs}
+    p.set_defaults(func=cmd_generate, knob_flags=flags, usage_error=p.error)
 
     p = sub.add_parser("evaluate", help="metrics for a run manifest or MIDI directory")
     p.add_argument("target", help="manifest.json or a directory of MIDI files")
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="side-by-side metric table for several runs")
-    p.add_argument("manifests", nargs="+", help="two or more manifest.json files")
+    p = sub.add_parser("compare", help="side-by-side metric table for one or more runs")
+    p.add_argument("manifests", nargs="+", help="one or more manifest.json files")
     p.add_argument("--out", help="also write the merged aggregates as JSON")
     p.set_defaults(func=cmd_compare)
     return parser

@@ -325,8 +325,10 @@ def test_criterion_09_cli_runs_byte_identical(midi_dir, tmp_path):
         args = [
             "generate", "--method", method, "--models", str(models),
             "--max-bars", "2", "--max-tokens", "120", "--count", "1",
-            "--seed", "4", "--budget", "4",
+            "--seed", "4",
         ]
+        if method == "puct":
+            args += ["--budget", "4"]
         if method == "sbbs":
             args += ["--beam", "2", "--top-k", "4"]
         first = tmp_path / f"{method}_a"

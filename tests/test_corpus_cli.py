@@ -223,6 +223,26 @@ TRACE_DIGESTS = {
 }
 
 
+# the manifest's config in test_outputs_per_method, its models path aside:
+# each method records its own decoder's knobs and no other
+RECORDED_KNOBS = {
+    "puct": {"budget": 4, "top_p": 0.9, "exploration_c": 1.0, "rollout_cap": 64},
+    "sbbs": {"beams": 2, "top_k": 4},
+    "cs": {"top_p": 0.9},
+    "topp": {"top_p": 0.9},
+}
+QUICK_KNOBS = {"max_bars": 2, "max_tokens": 120, "count": 1, "seed": 4}
+
+# the decoder flags each method takes; --count, --seed, --max-bars and --max-tokens it always takes
+DECODER_FLAGS = ["--budget", "--top-p", "--exploration-c", "--rollout-cap", "--beam", "--top-k"]
+TAKES = {
+    "puct": {"--budget", "--top-p", "--exploration-c", "--rollout-cap"},
+    "sbbs": {"--beam", "--top-k"},
+    "cs": {"--top-p"},
+    "topp": {"--top-p"},
+}
+
+
 def trace_digest(out: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted(out.glob("*.trace.json")):
@@ -308,12 +328,17 @@ class TestGenerateCommand:
     def test_outputs_per_method(self, workspace, tmp_path, method):
         _, _, models = workspace
         out = tmp_path / method
-        extra = ["--method", method, "--budget", "4"]
+        extra = ["--method", method]
+        if method == "puct":
+            extra += ["--budget", "4"]
         if method == "sbbs":
             extra += ["--beam", "2", "--top-k", "4"]
         assert generate(models, out, *extra) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["method"] == method
+        config = dict(manifest["config"])
+        assert (out / config.pop("models")).resolve() == models.resolve()
+        assert config == {"method": method, "emotion": "all", **RECORDED_KNOBS[method], **QUICK_KNOBS}
         assert len(manifest["pieces"]) == 4
         for quadrant in ("E1", "E2", "E3", "E4"):
             assert (out / f"{quadrant}_000.mid").exists()
@@ -435,6 +460,45 @@ class TestGenerateCommand:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "method, flag",
+        [(method, flag) for method in cli.METHODS for flag in DECODER_FLAGS if flag not in TAKES[method]],
+    )
+    def test_flag_the_method_does_not_take_is_usage_error(
+        self, workspace, tmp_path, capsys, method, flag
+    ):
+        _, _, models = workspace
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            generate(models, out, "--method", method, flag, "2")
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert f"method {method} does not take {flag}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--count", "0"), ("--count", "-2"), ("--seed", "-1")]
+    )
+    def test_count_below_one_or_negative_seed_flag_is_data_error(
+        self, workspace, tmp_path, capsys, flag, value
+    ):
+        _, _, models = workspace
+        out = tmp_path / "out"
+        assert generate(models, out, "--method", "topp", flag, value) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} must be at least" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_manifest_is_the_same_under_any_root(self, workspace, tmp_path):
+        _, _, models = workspace
+        manifests = []
+        for root in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            shutil.copytree(models, root / "models")
+            assert generate(root / "models", root / "run", "--method", "topp", "--emotion", "e1") == 0
+            manifests.append((root / "run" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["config"]["models"] == os.path.join("..", "models")
+
     def test_unknown_method_is_usage_error(self, workspace, tmp_path):
         _, _, models = workspace
         with pytest.raises(SystemExit) as info:
@@ -443,14 +507,14 @@ class TestGenerateCommand:
 
 
 class TestConfigFile:
-    def test_defaults_come_from_the_decoder_configs(self):
-        defaults = {}
-        for cls in (DecodeConfig, SBBSConfig, SamplingConfig):
-            for f in dataclasses.fields(cls):
-                if f.default is not dataclasses.MISSING:
-                    # a field the configs share has a single default
-                    assert defaults.setdefault(f.name, f.default) == f.default, f.name
-        assert cli.DEFAULTS == {**defaults, "count": 1, "seed": 0}
+    def test_each_method_takes_its_own_config_knobs(self):
+        classes = {"puct": DecodeConfig, "sbbs": SBBSConfig, "cs": SamplingConfig, "topp": SamplingConfig}
+        assert cli.METHODS == tuple(classes)
+        for method, cls in classes.items():
+            fields = [f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
+            assert cli.knob_defaults(method) == {**{f.name: f.default for f in fields}, "count": 1, "seed": 0}
+        counts = {method: len(cli.knob_defaults(method)) for method in cli.METHODS}
+        assert counts == {"puct": 8, "sbbs": 6, "cs": 5, "topp": 5}
 
     def test_sections_merge_with_flag_priority(self, workspace, tmp_path):
         _, _, models = workspace
@@ -486,6 +550,47 @@ class TestConfigFile:
                 "--out", str(tmp_path / "out")]
         assert cli.main(args) == 2
         assert "temperature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, section, key",
+        [
+            ("sbbs", "common", "budget"),
+            ("topp", "common", "beams"),
+            ("puct", "common", "top_k"),
+            ("sbbs", "sbbs", "top_p"),
+            ("cs", "cs", "rollout_cap"),
+            ("topp", "topp", "exploration_c"),
+        ],
+    )
+    def test_key_the_method_does_not_take_is_data_error(
+        self, workspace, tmp_path, capsys, method, section, key
+    ):
+        _, _, models = workspace
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"{section}:\n  {key}: 1\n")
+        out = tmp_path / "out"
+        args = ["generate", "--models", str(models), "--config", str(config),
+                "--method", method, "--out", str(out)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert f"method {method} takes no [{section}] keys ['{key}']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, text", [("common", "count: 0"), ("topp", "count: -1"), ("common", "seed: -1")]
+    )
+    def test_count_below_one_or_negative_seed_in_file_is_data_error(
+        self, workspace, tmp_path, capsys, section, text
+    ):
+        _, _, models = workspace
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"{section}:\n  {text}\n")
+        out = tmp_path / "out"
+        args = ["generate", "--models", str(models), "--config", str(config),
+                "--method", "topp", "--out", str(out)]
+        assert cli.main(args) == 2
+        assert f"{text.split(':')[0]} must be at least" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, key, text",
@@ -641,6 +746,14 @@ class TestCompareCommand:
         assert set(report) == {"topp", "puct"}
         assert set(report["puct"]) == {"E1", "E2", "E3", "E4"}
 
+    def test_one_complete_manifest(self, run_dir, tmp_path, capsys):
+        report_path = tmp_path / "one.json"
+        assert cli.main(["compare", str(run_dir / "manifest.json"), "--out", str(report_path)]) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
+        assert set(rows) == {"topp"}
+        report = json.loads(report_path.read_text())
+        assert list(report) == ["topp"] and set(report["topp"]) == {"E1", "E2", "E3", "E4"}
+
     def test_duplicate_method_labels_disambiguated(self, run_dir, capsys):
         args = ["compare", str(run_dir / "manifest.json"), str(run_dir / "manifest.json")]
         assert cli.main(args) == 0
@@ -743,6 +856,23 @@ class TestMainSurface:
             if isinstance(value, type) and issubclass(value, errors.EmodecodeError)
         }
         assert classes == set(ERROR_EXIT_CODES)
+
+    def test_only_generate_reads_knobs(self, midi_dir, run_dir, tmp_path, monkeypatch):
+        def fail(args, method):
+            raise AssertionError(f"merged_config called for {args.command}")
+
+        monkeypatch.setattr(cli, "merged_config", fail)
+        corpus, models = tmp_path / "corpus.json", tmp_path / "models"
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            assert cli.main(["ingest", str(midi_dir), "--out", str(corpus)]) == 0
+        labels = str(midi_dir / "labels.json")
+        assert cli.main(["train", str(corpus), "--labels", labels, "--out", str(models)]) == 0
+        assert cli.main(["evaluate", str(run_dir)]) == 0
+        assert cli.main(["evaluate", str(run_dir / "manifest.json")]) == 0
+        assert cli.main(["compare", str(run_dir / "manifest.json")]) == 0
+        for argv in (["ingest", "d"], ["train", "c"], ["evaluate", "t"], ["compare", "m"]):
+            assert not hasattr(cli.build_parser().parse_args(argv), "knob_flags")
 
     def test_debug_logging_smoke(self, workspace, tmp_path, monkeypatch):
         _, corpus, _ = workspace
